@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .graph_io import EdgeListParseError, read_edge_list, to_dot, write_edge_list
@@ -35,14 +34,6 @@ EX_OK = 0
 EX_INPUT = 2
 EX_RESOURCE = 3
 EX_INTERNAL = 4
-
-
-@dataclass
-class RunConfig:
-    """One command per invocation; paths are validated before any work."""
-
-    command: str
-    args: argparse.Namespace
 
 
 def _emit_json(payload: dict, out: str | None = None) -> None:
@@ -255,10 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(command=args.command, args=args)
     try:
         _check_inputs_exist(args)
-        return _COMMANDS[config.command](args)
+        return _COMMANDS[args.command](args)
     except LabelingConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INTERNAL

@@ -10,6 +10,7 @@ explicitly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -47,7 +48,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in set(self.edges)
+        i = bisect_left(self.edges, (u, v))
+        return i < len(self.edges) and self.edges[i] == (u, v)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.vertex_count

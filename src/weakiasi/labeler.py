@@ -5,9 +5,10 @@ sequence, so sums along mono-mono edges are automatically pairwise
 distinct.  Non-mono vertices receive 2-element sets with pairwise distinct
 gaps: edges at different non-mono vertices then get sumsets with different
 gaps, and edges at the same non-mono vertex get translates by distinct
-singletons.  Every constructed labeling is certified by the verifier
-before it is returned; certification failing is a defect, not a condition
-the caller handles.
+singletons.  The labeling is therefore a weak IASI by construction; it is
+built once and certified by the verifier before it is returned, and a
+failed certification raises, since it is a defect, not a condition the
+caller handles.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from .solver import (
     sparing_exact,
 )
 
-_MAX_ATTEMPTS = 8
-
 
 class LabelingConstructionError(RuntimeError):
-    """Construction retries exhausted; indicates a defect, not bad input."""
+    """A constructed labeling failed certification: a defect, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -69,15 +68,15 @@ def sidon(k: int) -> SidonSequence:
     return SidonSequence(tuple(terms))
 
 
-def _build(g: Graph, p: MonoPattern, offset: int) -> VertexLabeling:
+def _build(g: Graph, p: MonoPattern) -> VertexLabeling:
     mono = [v for v in range(g.vertex_count) if v not in p.non_mono]
     labels: dict[int, SetLabel] = {}
-    base = offset
+    base = 0
     if mono:
         terms = sidon(len(mono)).terms
         for v, term in zip(mono, terms):
-            labels[v] = SetLabel((term + offset,))
-        base = terms[-1] + offset + 1
+            labels[v] = SetLabel((term,))
+        base = terms[-1] + 1
     for j, v in enumerate(sorted(p.non_mono)):
         labels[v] = SetLabel((base + j, base + j + j + 1))
     return VertexLabeling(labels)
@@ -86,23 +85,25 @@ def _build(g: Graph, p: MonoPattern, offset: int) -> VertexLabeling:
 def construct_weak_iasi(g: Graph, p: MonoPattern) -> VertexLabeling:
     """A verified weak IASI whose mono edges are exactly the pattern's.
 
-    Deterministic for fixed input.  If verification of the candidate
-    labeling fails, the candidate pool is shifted upward and construction
-    retried; exhausting the retries raises LabelingConstructionError.
+    Deterministic for fixed input.  The labeling is built once and
+    certified; if certification fails, LabelingConstructionError names the
+    verifier's first violation.
     """
     if not pattern_is_valid(g, p):
         raise InvalidPatternError(
             f"non-mono set {sorted(p.non_mono)} is not independent"
         )
+    labeling = _build(g, p)
+    verdict = verify(g, labeling)
     expected_mono_edges = pattern_mono_edges(g, p)
-    for attempt in range(_MAX_ATTEMPTS):
-        labeling = _build(g, p, offset=attempt * (g.vertex_count + 8))
-        verdict = verify(g, labeling)
-        if verdict.is_weak_iasi and verdict.mono_edge_count == expected_mono_edges:
-            return labeling
+    if verdict.is_weak_iasi and verdict.mono_edge_count == expected_mono_edges:
+        return labeling
+    violation = verdict.first_violation or (
+        f"{verdict.mono_edge_count} mono edges, pattern has {expected_mono_edges}"
+    )
     raise LabelingConstructionError(
-        f"no verified labeling after {_MAX_ATTEMPTS} attempts "
-        f"(graph with {g.vertex_count} vertices, pattern {sorted(p.non_mono)})"
+        f"constructed labeling failed certification (graph with "
+        f"{g.vertex_count} vertices, pattern {sorted(p.non_mono)}): {violation}"
     )
 
 

@@ -11,6 +11,7 @@ finding, not a failure, and is never suppressed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -103,19 +104,14 @@ def _ec_cc(m: int, n: int) -> int:
     return _exact_div(m * (n + 5), 2, "EC_CC")
 
 
-def _ec_rr(m: int, r: int, n_prime: int, phi2: int) -> int:
-    _require(m > 1, "EC_RR needs m > 1")
-    _require(r >= 1, "EC_RR needs degree r >= 1")
-    _require(n_prime >= 0 and phi2 >= 0, "EC_RR needs non-negative n_prime, phi2")
-    return m * (n_prime + r * (1 + phi2))
-
-
-def _ec_rs(m: int, r: int, n_prime: int, phi2: int) -> int:
-    # Two competing closed forms circulate for this family; the registry
-    # evaluates this one and the audit reports ec_rs_variant alongside.
-    _require(m > 1, "EC_RS needs m > 1")
-    _require(r >= 1, "EC_RS needs degree r >= 1")
-    _require(n_prime >= 0 and phi2 >= 0, "EC_RS needs non-negative n_prime, phi2")
+def _ec_regular_pair(m: int, r: int, n_prime: int, phi2: int) -> int:
+    # EC_RR and EC_RS share this statement form.  Two competing closed forms
+    # circulate for EC_RS; the audit reports ec_rs_variant alongside.
+    _require(m > 1, "EC_RR/EC_RS needs m > 1")
+    _require(r >= 1, "EC_RR/EC_RS needs degree r >= 1")
+    _require(
+        n_prime >= 0 and phi2 >= 0, "EC_RR/EC_RS needs non-negative n_prime, phi2"
+    )
     return m * (n_prime + r * (1 + phi2))
 
 
@@ -185,13 +181,13 @@ REGISTRY: dict[str, TheoremEntry] = {
             "EC_RR",
             ("m", "r", "n_prime", "phi2"),
             "r-regular corona r-regular (second factor stats n_prime, phi2)",
-            _ec_rr,
+            _ec_regular_pair,
         ),
         TheoremEntry(
             "EC_RS",
             ("m", "r", "n_prime", "phi2"),
             "r-regular corona s-regular, r <= s (statement form)",
-            _ec_rs,
+            _ec_regular_pair,
         ),
         TheoremEntry("EC_PK", ("m", "n"), "path (m) corona complete (n)", _ec_pk),
         TheoremEntry("EC_CK", ("m", "n"), "cycle (m) corona complete (n)", _ec_ck),
@@ -353,35 +349,57 @@ _SIMPLE_CORONA_FAMILIES: dict[str, tuple[Callable[[int], Graph], Callable[[int],
     "EC_CK": (cycle_graph, complete_graph, range(3, 6), range(1, 5)),
 }
 
+_CORONA_IDS = (*_SIMPLE_CORONA_FAMILIES, "EC_RR", "EC_RS", "EC_RK")
+
+_NOTES: dict[str, tuple[str, ...]] = {
+    "EC_RS": (
+        "variant_value carries the alternative closed form "
+        "m*(n_prime + r + phi2); the registry evaluates the statement "
+        "form m*(n_prime + r*(1 + phi2)).",
+        "n_prime and phi2 are computed independently; no claim that one "
+        "labeling attains both simultaneously.",
+    ),
+    "MONO_COUNT": (
+        "oracle counts mono edges of the constructed corona labeling; "
+        "bruteforce_value recounts them by pattern arithmetic.",
+    ),
+}
+
 
 def _corona_size(g1: Graph, g2: Graph) -> int:
     return g1.vertex_count + g1.edge_count * g2.vertex_count
 
 
-def _regular_pairs(
-    theorem_id: str, max_vertices: int
-) -> Iterator[tuple[str, str, Graph, Graph, int]]:
-    for name1, make1, r1 in _REGULAR_CATALOG:
-        for name2, make2, r2 in _REGULAR_CATALOG:
-            if theorem_id == "EC_RR" and r1 != r2:
-                continue
-            if theorem_id == "EC_RS" and not r1 < r2:
-                continue
-            g1, g2 = make1(), make2()
-            if _corona_size(g1, g2) > max_vertices:
-                continue
-            yield name1, name2, g1, g2, r1
+def _corona_cases(
+    theorem_id: str,
+    m_values: Sequence[int] | None,
+    n_values: Sequence[int] | None,
+    max_vertices: int,
+) -> Iterator[tuple[dict, Graph, Graph]]:
+    """(row params, g1, g2) for every edge corona the audit of an id builds.
 
-
-def _rk_cases(max_vertices: int) -> Iterator[tuple[str, Graph, int, int]]:
+    The m/n ranges apply to the simple families, which ignore the vertex
+    cap; the regular-pair params omit the solver-derived factor stats.
+    """
+    if theorem_id in _SIMPLE_CORONA_FAMILIES:
+        make1, make2, default_ms, default_ns = _SIMPLE_CORONA_FAMILIES[theorem_id]
+        for m in default_ms if m_values is None else m_values:
+            for n in default_ns if n_values is None else n_values:
+                yield {"m": m, "n": n}, make1(m), make2(n)
+        return
     for name1, make1, r in _REGULAR_CATALOG:
-        g1 = make1()
-        for n in range(1, 5):
-            if r > n - 1:
-                continue
-            if _corona_size(g1, complete_graph(n)) > max_vertices:
-                continue
-            yield name1, g1, r, n
+        if theorem_id == "EC_RK":
+            g1 = make1()
+            for n in range(r + 1, 5):
+                g2 = complete_graph(n)
+                if _corona_size(g1, g2) <= max_vertices:
+                    yield {"g1": name1, "r": r, "m": g1.vertex_count, "n": n}, g1, g2
+            continue
+        for name2, make2, r2 in _REGULAR_CATALOG:
+            if (r == r2) if theorem_id == "EC_RR" else (r < r2):
+                g1, g2 = make1(), make2()
+                if _corona_size(g1, g2) <= max_vertices:
+                    yield {"g1": name1, "g2": name2, "r": r}, g1, g2
 
 
 def default_corona_instances(
@@ -392,51 +410,45 @@ def default_corona_instances(
     Useful for sweeps that want exactly the audited instances (for example,
     labeling every one of them).
     """
-    for tid, (make1, make2, ms, ns) in _SIMPLE_CORONA_FAMILIES.items():
-        for m in ms:
-            for n in ns:
-                product, _prov = edge_corona(make1(m), make2(n))
-                yield tid, {"m": m, "n": n}, product
-    for name1, name2, g1, g2, r in _regular_pairs("EC_RR", max_vertices):
-        product, _prov = edge_corona(g1, g2)
-        yield "EC_RR", {"g1": name1, "g2": name2, "r": r}, product
-    for name1, name2, g1, g2, r in _regular_pairs("EC_RS", max_vertices):
-        product, _prov = edge_corona(g1, g2)
-        yield "EC_RS", {"g1": name1, "g2": name2, "r": r}, product
-    for name1, g1, r, n in _rk_cases(max_vertices):
-        product, _prov = edge_corona(g1, complete_graph(n))
-        yield "EC_RK", {"g1": name1, "r": r, "n": n}, product
+    for theorem_id in _CORONA_IDS:
+        for params, g1, g2 in _corona_cases(theorem_id, None, None, max_vertices):
+            product, _prov = edge_corona(g1, g2)
+            yield theorem_id, params, product
 
 
 # ---------------------------------------------------------------------------
 # The audit
 # ---------------------------------------------------------------------------
 
+def _unresolved_row(
+    params: dict, formula_value: int | None = None, variant_value: int | None = None
+) -> TheoremRow:
+    return TheoremRow(
+        params=params,
+        formula_value=formula_value,
+        oracle_value=None,
+        oracle_witness=None,
+        bruteforce_value=None,
+        agree=False,
+        unresolved=True,
+        variant_value=variant_value,
+    )
+
+
 def _audit_sparing_row(
     params: dict,
     graph: Graph,
     formula_value: int,
-    *,
+    variant_value: int | None,
     timeout_secs: float | None,
-    cross_check_cap: int,
-    variant_value: int | None = None,
 ) -> TheoremRow:
     try:
         result = sparing_exact(graph, timeout_secs)
     except SolverTimeout:
-        return TheoremRow(
-            params=params,
-            formula_value=formula_value,
-            oracle_value=None,
-            oracle_witness=None,
-            bruteforce_value=None,
-            agree=False,
-            unresolved=True,
-            variant_value=variant_value,
-        )
+        return _unresolved_row(params, formula_value, variant_value)
     bruteforce_value = None
-    if graph.vertex_count <= cross_check_cap:
-        brute = sparing_bruteforce(graph, cap=cross_check_cap)
+    if graph.vertex_count <= DEFAULT_AUDIT_VERTEX_CAP:
+        brute = sparing_bruteforce(graph, cap=DEFAULT_AUDIT_VERTEX_CAP)
         if brute.value != result.value or brute.witness != result.witness:
             raise RuntimeError(
                 f"solver defect: bruteforce ({brute.value}, "
@@ -456,179 +468,61 @@ def _audit_sparing_row(
     )
 
 
-def _check_simple_corona(
-    report: TheoremReport,
+def _audit_cases(
     theorem_id: str,
     m_values: Sequence[int] | None,
     n_values: Sequence[int] | None,
-    timeout_secs: float | None,
-    cross_check_cap: int,
-) -> None:
-    make1, make2, default_ms, default_ns = _SIMPLE_CORONA_FAMILIES[theorem_id]
-    for m in m_values if m_values is not None else default_ms:
-        for n in n_values if n_values is not None else default_ns:
-            product, _prov = edge_corona(make1(m), make2(n))
-            report.rows.append(
-                _audit_sparing_row(
-                    {"m": m, "n": n},
-                    product,
-                    formula_eval(theorem_id, m=m, n=n),
-                    timeout_secs=timeout_secs,
-                    cross_check_cap=cross_check_cap,
-                )
-            )
-
-
-def _check_regular_pairs(
-    report: TheoremReport,
-    theorem_id: str,
     max_vertices: int,
     timeout_secs: float | None,
-    cross_check_cap: int,
-) -> None:
+) -> Iterator[tuple[dict, Graph | None]]:
+    """(row params, graph to solve) per audit row; None if a factor timed out."""
+    if theorem_id == "COMPLETE":
+        for n in range(1, 9) if n_values is None else n_values:
+            yield {"n": n}, complete_graph(n)
+        return
+    if theorem_id == "UNION":
+        cases = [
+            ("one_point", a, b, a - 1) for a in range(2, 6) for b in range(2, 6)
+        ] + [("disjoint", a, b, a) for a in range(2, 5) for b in range(2, 5)]
+        for overlap, a, b, offset in cases:
+            g1 = complete_graph(a)
+            g2 = shift_vertices(complete_graph(b), offset)
+            names = {"overlap": overlap, "a": a, "b": b}
+            try:
+                phi1, phi2, phi_common = (
+                    sparing_exact(part, timeout_secs).value
+                    for part in (g1, g2, intersection(g1, g2))
+                )
+            except SolverTimeout:
+                yield names, None
+                continue
+            params = {**names, "phi1": phi1, "phi2": phi2, "phi_intersection": phi_common}
+            yield params, union(g1, g2)
+        return
     factor_stats: dict[str, tuple[int, int]] = {}
-    for name1, name2, g1, g2, r in _regular_pairs(theorem_id, max_vertices):
-        try:
-            if name2 not in factor_stats:
-                factor_stats[name2] = (
-                    min_mono_vertices(g2, timeout_secs),
-                    sparing_exact(g2, timeout_secs).value,
-                )
-        except SolverTimeout:
-            report.rows.append(
-                TheoremRow(
-                    params={"g1": name1, "g2": name2, "r": r},
-                    formula_value=None,
-                    oracle_value=None,
-                    oracle_witness=None,
-                    bruteforce_value=None,
-                    agree=False,
-                    unresolved=True,
-                )
-            )
-            continue
-        n_prime, phi2 = factor_stats[name2]
-        m = g1.vertex_count
-        params = {
-            "g1": name1,
-            "g2": name2,
-            "m": m,
-            "r": r,
-            "n_prime": n_prime,
-            "phi2": phi2,
-        }
-        variant = (
-            ec_rs_variant(m, r, n_prime, phi2)
-            if theorem_id == "EC_RS"
-            else None
-        )
+    for params, g1, g2 in _corona_cases(theorem_id, m_values, n_values, max_vertices):
+        if theorem_id in ("EC_RR", "EC_RS"):
+            name2 = params["g2"]
+            try:
+                if name2 not in factor_stats:
+                    factor_stats[name2] = (
+                        min_mono_vertices(g2, timeout_secs),
+                        sparing_exact(g2, timeout_secs).value,
+                    )
+            except SolverTimeout:
+                yield params, None
+                continue
+            n_prime, phi2 = factor_stats[name2]
+            params = {
+                "g1": params["g1"],
+                "g2": name2,
+                "m": g1.vertex_count,
+                "r": params["r"],
+                "n_prime": n_prime,
+                "phi2": phi2,
+            }
         product, _prov = edge_corona(g1, g2)
-        report.rows.append(
-            _audit_sparing_row(
-                params,
-                product,
-                formula_eval(theorem_id, m=m, r=r, n_prime=n_prime, phi2=phi2),
-                timeout_secs=timeout_secs,
-                cross_check_cap=cross_check_cap,
-                variant_value=variant,
-            )
-        )
-    if theorem_id == "EC_RS":
-        report.notes.append(
-            "variant_value carries the alternative closed form "
-            "m*(n_prime + r + phi2); the registry evaluates the statement "
-            "form m*(n_prime + r*(1 + phi2))."
-        )
-        report.notes.append(
-            "n_prime and phi2 are computed independently; no claim that one "
-            "labeling attains both simultaneously."
-        )
-
-
-def _check_rk(
-    report: TheoremReport,
-    max_vertices: int,
-    timeout_secs: float | None,
-    cross_check_cap: int,
-) -> None:
-    for name1, g1, r, n in _rk_cases(max_vertices):
-        product, _prov = edge_corona(g1, complete_graph(n))
-        report.rows.append(
-            _audit_sparing_row(
-                {"g1": name1, "r": r, "m": g1.vertex_count, "n": n},
-                product,
-                formula_eval("EC_RK", r=r, m=g1.vertex_count, n=n),
-                timeout_secs=timeout_secs,
-                cross_check_cap=cross_check_cap,
-            )
-        )
-
-
-def _check_complete(
-    report: TheoremReport,
-    n_values: Sequence[int] | None,
-    timeout_secs: float | None,
-    cross_check_cap: int,
-) -> None:
-    for n in n_values if n_values is not None else range(1, 9):
-        report.rows.append(
-            _audit_sparing_row(
-                {"n": n},
-                complete_graph(n),
-                formula_eval("COMPLETE", n=n),
-                timeout_secs=timeout_secs,
-                cross_check_cap=cross_check_cap,
-            )
-        )
-
-
-def _check_union(
-    report: TheoremReport, timeout_secs: float | None, cross_check_cap: int
-) -> None:
-    cases = [
-        ("one_point", a, b, a - 1) for a in range(2, 6) for b in range(2, 6)
-    ] + [("disjoint", a, b, a) for a in range(2, 5) for b in range(2, 5)]
-    for overlap, a, b, offset in cases:
-        g1 = complete_graph(a)
-        g2 = shift_vertices(complete_graph(b), offset)
-        combined = union(g1, g2)
-        common = intersection(g1, g2)
-        try:
-            phi1 = sparing_exact(g1, timeout_secs).value
-            phi2 = sparing_exact(g2, timeout_secs).value
-            phi_common = sparing_exact(common, timeout_secs).value
-        except SolverTimeout:
-            report.rows.append(
-                TheoremRow(
-                    params={"overlap": overlap, "a": a, "b": b},
-                    formula_value=None,
-                    oracle_value=None,
-                    oracle_witness=None,
-                    bruteforce_value=None,
-                    agree=False,
-                    unresolved=True,
-                )
-            )
-            continue
-        params = {
-            "overlap": overlap,
-            "a": a,
-            "b": b,
-            "phi1": phi1,
-            "phi2": phi2,
-            "phi_intersection": phi_common,
-        }
-        report.rows.append(
-            _audit_sparing_row(
-                params,
-                combined,
-                formula_eval(
-                    "UNION", phi1=phi1, phi2=phi2, phi_intersection=phi_common
-                ),
-                timeout_secs=timeout_secs,
-                cross_check_cap=cross_check_cap,
-            )
-        )
+        yield params, product
 
 
 def _check_mono_count(report: TheoremReport, timeout_secs: float | None) -> None:
@@ -641,75 +535,51 @@ def _check_mono_count(report: TheoremReport, timeout_secs: float | None) -> None
         return sparing_exact(g, timeout_secs).witness
 
     kinds = ("all_mono", "optimal")
-    for name1, g1 in factors1:
-        for pat1_name in kinds:
-            for name2, g2 in factors2:
-                for pat2_name in kinds:
-                    names = {
-                        "g1": name1,
-                        "pattern1": pat1_name,
-                        "g2": name2,
-                        "pattern2": pat2_name,
-                    }
-                    try:
-                        pat1 = pattern_for(g1, pat1_name)
-                        pat2 = pattern_for(g2, pat2_name)
-                    except SolverTimeout:
-                        report.rows.append(
-                            TheoremRow(
-                                params=names,
-                                formula_value=None,
-                                oracle_value=None,
-                                oracle_witness=None,
-                                bruteforce_value=None,
-                                agree=False,
-                                unresolved=True,
-                            )
-                        )
-                        continue
-                    product, prov = edge_corona(g1, g2)
-                    combined = set(pat1.non_mono)
-                    for j, (u, v) in enumerate(g1.edges):
-                        if u not in pat1.non_mono and v not in pat1.non_mono:
-                            # mono base edge: its copy keeps the factor pattern
-                            combined.update(
-                                prov.copies[j][k] for k in pat2.non_mono
-                            )
-                    combined_pattern = MonoPattern(frozenset(combined))
-                    stats = {
-                        "m1": g1.edge_count,
-                        "m1_mono": pattern_mono_edges(g1, pat1),
-                        "n2": g2.vertex_count,
-                        "m2": g2.edge_count,
-                        "n2_mono": g2.vertex_count - len(pat2.non_mono),
-                        "m2_mono": pattern_mono_edges(g2, pat2),
-                    }
-                    labeling = construct_weak_iasi(product, combined_pattern)
-                    _verts, labeled_mono_edges = count_mono_elements(
-                        product, labeling
-                    )
-                    pattern_count = pattern_mono_edges(product, combined_pattern)
-                    if pattern_count != labeled_mono_edges:
-                        raise RuntimeError(
-                            "labeling/pattern mono-edge mismatch on "
-                            f"{name1}/{pat1_name} corona {name2}/{pat2_name}"
-                        )
-                    formula_value = formula_eval("MONO_COUNT", **stats)
-                    report.rows.append(
-                        TheoremRow(
-                            params={**names, **stats},
-                            formula_value=formula_value,
-                            oracle_value=labeled_mono_edges,
-                            oracle_witness=combined_pattern.sorted_ids(),
-                            bruteforce_value=pattern_count,
-                            agree=formula_value == labeled_mono_edges,
-                            unresolved=False,
-                        )
-                    )
-    report.notes.append(
-        "oracle counts mono edges of the constructed corona labeling; "
-        "bruteforce_value recounts them by pattern arithmetic."
-    )
+    for (name1, g1), pat1_name, (name2, g2), pat2_name in itertools.product(
+        factors1, kinds, factors2, kinds
+    ):
+        names = {"g1": name1, "pattern1": pat1_name, "g2": name2, "pattern2": pat2_name}
+        try:
+            pat1 = pattern_for(g1, pat1_name)
+            pat2 = pattern_for(g2, pat2_name)
+        except SolverTimeout:
+            report.rows.append(_unresolved_row(names))
+            continue
+        corona, prov = edge_corona(g1, g2)
+        combined = set(pat1.non_mono)
+        for j, (u, v) in enumerate(g1.edges):
+            if u not in pat1.non_mono and v not in pat1.non_mono:
+                # mono base edge: its copy keeps the factor pattern
+                combined.update(prov.copies[j][k] for k in pat2.non_mono)
+        combined_pattern = MonoPattern(frozenset(combined))
+        stats = {
+            "m1": g1.edge_count,
+            "m1_mono": pattern_mono_edges(g1, pat1),
+            "n2": g2.vertex_count,
+            "m2": g2.edge_count,
+            "n2_mono": g2.vertex_count - len(pat2.non_mono),
+            "m2_mono": pattern_mono_edges(g2, pat2),
+        }
+        labeling = construct_weak_iasi(corona, combined_pattern)
+        _verts, labeled_mono_edges = count_mono_elements(corona, labeling)
+        pattern_count = pattern_mono_edges(corona, combined_pattern)
+        if pattern_count != labeled_mono_edges:
+            raise RuntimeError(
+                "labeling/pattern mono-edge mismatch on "
+                f"{name1}/{pat1_name} corona {name2}/{pat2_name}"
+            )
+        formula_value = formula_eval("MONO_COUNT", **stats)
+        report.rows.append(
+            TheoremRow(
+                params={**names, **stats},
+                formula_value=formula_value,
+                oracle_value=labeled_mono_edges,
+                oracle_witness=combined_pattern.sorted_ids(),
+                bruteforce_value=pattern_count,
+                agree=formula_value == labeled_mono_edges,
+                unresolved=False,
+            )
+        )
 
 
 def check_theorem(
@@ -718,7 +588,6 @@ def check_theorem(
     n_values: Sequence[int] | None = None,
     *,
     timeout_secs: float | None = DEFAULT_TIMEOUT_SECS,
-    cross_check_cap: int = DEFAULT_AUDIT_VERTEX_CAP,
     max_vertices: int = DEFAULT_AUDIT_VERTEX_CAP,
 ) -> TheoremReport:
     """Audit one registry entry over its default (or given) parameter points.
@@ -731,27 +600,29 @@ def check_theorem(
     entry = REGISTRY.get(theorem_id)
     if entry is None:
         raise UnknownTheoremError(theorem_id)
-    report = TheoremReport(theorem_id=theorem_id, description=entry.description)
-    if theorem_id in _SIMPLE_CORONA_FAMILIES:
-        _check_simple_corona(
-            report, theorem_id, m_values, n_values, timeout_secs, cross_check_cap
-        )
-        return report
-    if theorem_id == "COMPLETE":
-        if m_values is not None:
-            raise ValueError("COMPLETE only takes an n range")
-        _check_complete(report, n_values, timeout_secs, cross_check_cap)
-        return report
-    if m_values is not None or n_values is not None:
+    if theorem_id == "COMPLETE" and m_values is not None:
+        raise ValueError("COMPLETE only takes an n range")
+    if theorem_id not in (*_SIMPLE_CORONA_FAMILIES, "COMPLETE") and (
+        m_values is not None or n_values is not None
+    ):
         raise ValueError(f"{theorem_id} does not take m/n range overrides")
-    if theorem_id in ("EC_RR", "EC_RS"):
-        _check_regular_pairs(
-            report, theorem_id, max_vertices, timeout_secs, cross_check_cap
-        )
-    elif theorem_id == "EC_RK":
-        _check_rk(report, max_vertices, timeout_secs, cross_check_cap)
-    elif theorem_id == "UNION":
-        _check_union(report, timeout_secs, cross_check_cap)
-    elif theorem_id == "MONO_COUNT":
+    report = TheoremReport(theorem_id=theorem_id, description=entry.description)
+    if theorem_id == "MONO_COUNT":
         _check_mono_count(report, timeout_secs)
+    else:
+        cases = _audit_cases(
+            theorem_id, m_values, n_values, max_vertices, timeout_secs
+        )
+        for params, graph in cases:
+            if graph is None:
+                report.rows.append(_unresolved_row(params))
+                continue
+            args = {k: params[k] for k in entry.params}
+            variant = ec_rs_variant(**args) if theorem_id == "EC_RS" else None
+            report.rows.append(
+                _audit_sparing_row(
+                    params, graph, entry.evaluate(**args), variant, timeout_secs
+                )
+            )
+    report.notes.extend(_NOTES.get(theorem_id, ()))
     return report

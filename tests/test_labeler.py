@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from weakiasi import (
+    IASIVerdict,
     InvalidPatternError,
+    LabelingConstructionError,
     MonoPattern,
     SidonSequence,
     complete_graph,
@@ -11,6 +13,7 @@ from weakiasi import (
     count_mono_elements,
     cycle_graph,
     induced_edge_labels,
+    labeler,
     max_independent_set,
     path_graph,
     pattern_mono_edges,
@@ -157,3 +160,23 @@ def test_seeded_sweep():
         verdict = verify(g, f)
         assert verdict.is_weak_iasi
         assert verdict.mono_edge_count == result.value
+
+
+def test_failed_certification_raises_after_one_verify(monkeypatch):
+    calls = []
+
+    def failing_verify(g, f):
+        calls.append(g)
+        return IASIVerdict(
+            vertex_injective=True,
+            edge_injective=False,
+            weak_condition=True,
+            mono_vertex_count=g.vertex_count,
+            mono_edge_count=g.edge_count,
+            first_violation="edges 0 and 1 share a sumset",
+        )
+
+    monkeypatch.setattr(labeler, "verify", failing_verify)
+    with pytest.raises(LabelingConstructionError, match="edges 0 and 1 share a sumset"):
+        construct_weak_iasi(cycle_graph(5), MonoPattern(frozenset({0})))
+    assert len(calls) == 1

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from weakiasi import (
@@ -202,3 +205,56 @@ def test_default_corona_instances_fit_caps():
     assert len(instances) >= 70
     for _tid, _params, graph in instances:
         assert graph.vertex_count <= 34
+
+
+# SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True) and of
+# report.render_text(), recorded before the audit became table-driven.
+AUDIT_DIGESTS = {
+    ("EC_PP", 34): ("5419022c7f5eb9f94ad87e8e86f2655554a82647c48e075c36f160eefc57d644", "11da4ff26faa84aa44a167f27d9cbd53e3c5d1adb8253af6b7e9ebd15cb329d0"),
+    ("EC_PC", 34): ("69be508e862d87498c5f02d29abe2bc8511eb66d0357782f1bfe760415a70562", "c6816f61d422f8cc2456d47d8b8031783a1fa4f383c5744d5336cbe68b5f87d6"),
+    ("EC_CP", 34): ("d4666d2d7f0d491412c1106f4f1bb496f9b78f832ab1813b8847ea987b62964a", "df251783cceeec1292a32b1c843db011b12d81a46828acbbe45db97aab480ece"),
+    ("EC_CC", 34): ("eed598a8aa4998bd4867448e0749aee2d1df8cfa5110371adfe3955e0115062b", "11c11b9ceba4bd1a8a2f05543e533e1c509647f8cf9e0bc5fbced02fa7303b56"),
+    ("EC_RR", 34): ("696bb37846f76ee75865045b7efb6c67d3096dc050842aebe3a81400a98415c6", "a3ca8f782a56f625bbb326b341748701cab881b1c60efbdda0326fe2b01075b9"),
+    ("EC_RS", 34): ("bc2ec47ae8a3281fff8aea79452d394e2e86c0dea987378f4cb76e04facc2cc9", "066e877e3f4cf6f4cb14cec93c80106b4820a7e77004f00d26d6c265c12644fe"),
+    ("EC_PK", 34): ("0e9bf7214e110f8094d69900b8456e1ea1e189432b3121756b022e0d53aa1e09", "aa0d129b5cf0e7fef8a3c352dbe0c311e1c8c40eb19390f83968633472727dff"),
+    ("EC_CK", 34): ("bb768a5c36825ae913d6cefc37ca6b1fe4a3b80275f1dd9d832c82e06d63685b", "50ea77f2597a1b66794f3c9af7d58d12cbba8c8e6244790b2cb76d6e91213d90"),
+    ("EC_RK", 34): ("6145c4731bccbde32c8c605dfd50c3c121f7da5442b5f7ea013a4f4465ab89d2", "94886fc3b7b13c05eb38d4710da685d68e0dffb87caddb3a35f9525c77986862"),
+    ("COMPLETE", 34): ("50dbf86223ffbe3f260b7e282b229254d016416bdbaee316f7b45ab420d2416a", "7a118e8cf374c6505cd5c80e0c149e078b9f2bf7d573d10cba5f5c76ad8ca035"),
+    ("UNION", 34): ("3b16d1d3221c24552ba774b7defb59c2de72d15a3e6f0eb3502aeb1798aed92f", "99eaf0e675d6fce9d1e3d4ee4a7f9fd1e8b868b514b02a6cdbc38d422e7760a8"),
+    ("MONO_COUNT", 34): ("cbacb761ecdd5a7d4ad61995b3ef82fb6af0976aafdc40a47ccacfbdd3bae12b", "7884f8a5f4a7305028179a9b8677d55d9f95657ddf56747aa613cb565e069740"),
+    ("EC_RR", 66): ("f42fb58a876419189f8b46470a53b4372cfb753ebb100a97f2981c37a893955d", "db77d9dc5db277129e409658895754e51f096596366833fe7a80d9826262047c"),
+    ("EC_RS", 66): ("0c9deb2b9f64b9d5a69ccc1beda94821be06ba1b7573e7283434f94720f16c0d", "71039d1f6ce8bb22387f9becf03090a70813dcaddc6583022539fb8f2160e258"),
+    ("EC_RK", 66): ("1f6b0977c6b90d5e7795ff1348002296e65f9987d12c5feceff0d4d1c4d011f2", "ff6b7635187df621766e00b63e6afec83fbc66a0b83e35b0ce29b3ce4375c0bb"),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_audit_digests_cover_every_id():
+    assert {tid for tid, _cap in AUDIT_DIGESTS} == set(THEOREM_IDS)
+
+
+@pytest.mark.parametrize(("theorem_id", "max_vertices"), list(AUDIT_DIGESTS))
+def test_audit_output_is_pinned(theorem_id, max_vertices):
+    report = check_theorem(theorem_id, max_vertices=max_vertices)
+    json_text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert (_sha256(json_text), _sha256(report.render_text())) == AUDIT_DIGESTS[
+        (theorem_id, max_vertices)
+    ]
+
+
+def test_default_instance_params_match_audit_rows():
+    by_id = {}
+    for tid, params, _graph in default_corona_instances():
+        by_id.setdefault(tid, []).append(params)
+    for tid, instance_params in by_id.items():
+        rows = check_theorem(tid).rows
+        assert len(rows) == len(instance_params)
+        for params, row in zip(instance_params, rows):
+            if tid in ("EC_RR", "EC_RS"):
+                # the row adds the solver-derived m, n_prime and phi2
+                assert params.items() <= row.params.items()
+            else:
+                assert params == row.params
