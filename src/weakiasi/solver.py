@@ -14,7 +14,12 @@ Two exact methods are provided and must agree (value and witness):
 
 * ``sparing_exact`` runs a branch-and-bound: include/exclude branching on a
   highest-degree available vertex, connected-component decomposition, and
-  memoization on the available-vertex bitmask.  The witness is then rebuilt
+  memoization on the available-vertex bitmask.  Components are found by a
+  breadth-first search that expands only each layer's new frontier, and
+  are peeled off the low end of the available mask in a loop, so many
+  components cost neither rescans nor recursion depth.  A search deeper
+  than the interpreter's recursion limit (a path of a few thousand
+  vertices) raises ResourceLimitError.  The witness is then rebuilt
   id by id: vertex v joins the witness iff the optimum is still reachable
   with v forced in, which reproduces the brute-force lexicographic
   tie-break.  Bipartite inputs skip the value search (the sparing number of
@@ -184,7 +189,8 @@ class _MaxWeightEngine:
     Branches include/exclude on a highest-degree available vertex; splits
     available vertices into connected components first (their optima add);
     memoizes on the availability mask, which also makes the witness
-    reconstruction queries cheap.
+    reconstruction queries cheap.  Raises RecursionError when the search
+    is deeper than the interpreter allows.
     """
 
     def __init__(self, adj: list[int], weights: list[int], deadline: float | None):
@@ -194,52 +200,69 @@ class _MaxWeightEngine:
         self.memo: dict[int, int] = {}
         self.explored = 0
 
+    def progress(self) -> str:
+        return f"after {self.explored} nodes with {len(self.memo)} memoized states"
+
     def _check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SolverTimeout("solver exceeded its time budget")
+            raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
 
     def solve(self, avail: int) -> int:
-        if avail == 0:
-            return 0
-        cached = self.memo.get(avail)
-        if cached is not None:
-            return cached
-        self.explored += 1
-        self._check_time()
+        """Maximum weight of an independent set inside ``avail``.
 
-        component = self._component(avail)
-        if component != avail:
-            result = self.solve(component) + self.solve(avail ^ component)
-            self.memo[avail] = result
-            return result
-
-        pivot, pivot_degree = self._pivot(avail)
-        if pivot_degree == 0:
-            result = sum(self.weights[v] for v in _mask_to_ids(avail))
-            self.memo[avail] = result
-            return result
-
-        bit = 1 << pivot
-        include = self.weights[pivot] + self.solve(avail & ~(self.adj[pivot] | bit))
-        exclude = self.solve(avail ^ bit)
-        result = max(include, exclude)
-        self.memo[avail] = result
-        return result
+        Peels connected components off the low end of ``avail`` in a loop
+        (their optima add), so the number of components does not deepen
+        the recursion; every residual mask is memoized with the sum of its
+        components' optima.  A connected mask branches include/exclude on
+        its pivot in this same frame, so each branching level costs one
+        stack frame.
+        """
+        residuals: list[int] = []
+        parts: list[int] = []
+        total = 0
+        while avail:
+            cached = self.memo.get(avail)
+            if cached is not None:
+                total = cached
+                break
+            self.explored += 1
+            self._check_time()
+            component = self._component(avail)
+            if component != avail:
+                residuals.append(avail)
+                parts.append(self.solve(component))
+                avail ^= component
+                continue
+            pivot, pivot_degree = self._pivot(avail)
+            if pivot_degree == 0:
+                total = self.weights[pivot]
+            else:
+                bit = 1 << pivot
+                include = self.weights[pivot] + self.solve(avail & ~(self.adj[pivot] | bit))
+                total = max(include, self.solve(avail ^ bit))
+            self.memo[avail] = total
+            break
+        for residual, part in zip(reversed(residuals), reversed(parts)):
+            total += part
+            self.memo[residual] = total
+        return total
 
     def _component(self, avail: int) -> int:
-        """Connected component of the lowest available vertex."""
-        component = avail & -avail
-        while True:
-            frontier = 0
-            rest = component
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                frontier |= self.adj[bit.bit_length() - 1]
-            grown = component | (frontier & avail)
-            if grown == component:
-                return component
-            component = grown
+        """Connected component of the lowest available vertex.
+
+        Each BFS layer expands only the vertices it newly reached, so one
+        call costs O(size of the component) mask operations.
+        """
+        component = frontier = avail & -avail
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                reach |= self.adj[bit.bit_length() - 1]
+            frontier = reach & avail & ~component
+            component |= frontier
+        return component
 
     def _pivot(self, avail: int) -> tuple[int, int]:
         """Available vertex with most available neighbours, smallest id wins ties."""
@@ -293,9 +316,14 @@ def _solve_max_weight(
     deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
     engine = _MaxWeightEngine(g.adjacency_masks(), weights, deadline)
     n = g.vertex_count
-    if known_target is None:
-        known_target = engine.solve((1 << n) - 1)
-    witness = engine.lex_min_witness(known_target)
+    try:
+        if known_target is None:
+            known_target = engine.solve((1 << n) - 1)
+        witness = engine.lex_min_witness(known_target)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"search exceeded the interpreter's recursion limit {engine.progress()}"
+        ) from None
     return known_target, witness, engine.explored
 
 
@@ -306,7 +334,8 @@ def sparing_exact(
 
     Bipartite graphs short-circuit to value 0 (one side of the bipartition
     covers every edge); the witness is still the lexicographically smallest
-    optimal non-mono set.  Raises SolverTimeout when the budget runs out.
+    optimal non-mono set.  Raises SolverTimeout when the budget runs out and
+    ResourceLimitError when the search is too deep for the interpreter.
     """
     start = time.monotonic()
     degrees = g.degrees()

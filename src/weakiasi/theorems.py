@@ -408,7 +408,9 @@ def default_corona_instances(
     """Every corona graph the default audit touches, with its row params.
 
     Useful for sweeps that want exactly the audited instances (for example,
-    labeling every one of them).
+    labeling every one of them).  ``max_vertices`` bounds only the EC_RR,
+    EC_RS and EC_RK products; the six simple families (EC_PP ... EC_CK)
+    yield their default m/n grids whatever the cap.
     """
     for theorem_id in _CORONA_IDS:
         for params, g1, g2 in _corona_cases(theorem_id, None, None, max_vertices):
@@ -595,7 +597,9 @@ def check_theorem(
     Every row holds the closed-form value and the exact optimum; instances
     small enough for the enumeration cap are recomputed by brute force, and
     any disagreement between the two exact methods raises, since that would
-    be a solver defect rather than a finding.
+    be a solver defect rather than a finding.  ``max_vertices`` bounds only
+    the EC_RR, EC_RS and EC_RK products; the six simple corona families
+    audit every m/n point whatever the cap.
     """
     entry = REGISTRY.get(theorem_id)
     if entry is None:

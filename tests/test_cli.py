@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -115,6 +117,25 @@ def test_sparing_timeout_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.fixture
+def shallow_stack():
+    """Leave about 150 frames of stack, so a path of 1,000 vertices is too deep."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_sparing_too_deep_exits_3(tmp_path, capsys, shallow_stack):
+    graph = write_graph(tmp_path, "p1000.txt", "path", "1000")
+    code, out, err = run(capsys, "sparing", "--graph", graph)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: search exceeded the interpreter's recursion limit after ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

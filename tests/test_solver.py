@@ -1,5 +1,8 @@
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakiasi import (
     CapExceededError,
@@ -7,9 +10,11 @@ from weakiasi import (
     InvalidPatternError,
     MonoPattern,
     SolverTimeout,
+    cli,
     complete_graph,
     cycle_graph,
     edge_corona,
+    gnp_random_graph,
     is_bipartite,
     max_independent_set,
     min_mono_vertices,
@@ -20,7 +25,8 @@ from weakiasi import (
     sparing_bruteforce,
     sparing_exact,
 )
-from weakiasi.solver import _independent_sets
+from weakiasi.graph_io import write_edge_list
+from weakiasi.solver import _MaxWeightEngine, _independent_sets
 
 from helpers import graphs, seeded_graphs
 
@@ -185,6 +191,12 @@ def test_timeout_is_reported():
         sparing_exact(g, timeout_secs=0.0)
 
 
+def test_timeout_message_reports_progress():
+    g, _ = edge_corona(cycle_graph(5), cycle_graph(5))
+    with pytest.raises(SolverTimeout, match=r"budget after \d+ nodes with \d+ memoized states$"):
+        sparing_exact(g, timeout_secs=0.0)
+
+
 def test_solver_equivalence_on_seeded_suite():
     for g in seeded_graphs(25, max_vertices=12, seed=99):
         brute = sparing_bruteforce(g)
@@ -230,6 +242,73 @@ def test_lex_witness_includes_small_isolated_vertices():
     g = Graph(3, ((1, 2),))
     assert sparing_bruteforce(g).witness.sorted_ids() == (0, 1)
     assert sparing_exact(g).witness.sorted_ids() == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Component search and its cost
+# ---------------------------------------------------------------------------
+
+def disjoint_triangles(k):
+    return Graph(
+        3 * k,
+        tuple((3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))),
+    )
+
+
+def test_many_components_solve_without_recursion(tmp_path, capsys):
+    g = disjoint_triangles(1100)
+    expected = tuple(range(0, 3300, 3))
+    result = sparing_exact(g)
+    assert result.value == 1100
+    assert result.witness.sorted_ids() == expected
+
+    path = tmp_path / "triangles.txt"
+    path.write_text(write_edge_list(g))
+    assert cli.main(["sparing", "--graph", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == 1100
+    assert data["witness"]["non_mono"] == list(expected)
+
+
+def rescanning_component(adj, avail):
+    """Reference BFS: rescan the whole grown component until it stops growing."""
+    component = avail & -avail
+    while True:
+        reach = 0
+        for v in range(len(adj)):
+            if component >> v & 1:
+                reach |= adj[v]
+        grown = component | (reach & avail)
+        if grown == component:
+            return component
+        component = grown
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=14), st.integers(min_value=1, max_value=(1 << 14) - 1))
+def test_component_matches_rescanning_reference(g, mask):
+    avail = mask & ((1 << g.vertex_count) - 1)
+    if not avail:
+        return
+    engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
+    assert engine._component(avail) == rescanning_component(g.adjacency_masks(), avail)
+
+
+@pytest.mark.parametrize(
+    "g, value, explored",
+    [
+        (path_graph(334), 0, 989),
+        (cycle_graph(223), 1, 1097),
+        (disjoint_triangles(304), 304, 1215),
+        (gnp_random_graph(60, 0.15, 1), 112, 44137),
+    ],
+    ids=["path334", "cycle223", "triangles304", "gnp60"],
+)
+def test_explored_node_counts_are_pinned(g, value, explored):
+    # recorded with the whole-rescan, recursive component split: how
+    # components are found must not change the search tree or the memo
+    result = sparing_exact(g, timeout_secs=None)
+    assert (result.value, result.explored) == (value, explored)
 
 
 # ---------------------------------------------------------------------------
