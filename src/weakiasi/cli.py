@@ -2,7 +2,9 @@
 verification, and the theorem audit.
 
 Exit codes: 0 success, 2 malformed input, 3 resource limit (cap or
-timeout, or an unresolved audit row), 4 internal verification failure.
+timeout, or an unresolved audit row), 4 internal failure (a labeling
+that fails certification, or any other defect); each failure is one
+``error:`` line on standard error.
 JSON goes to standard output; human-readable tables go to standard error
 under --verbose.  All output is deterministic except ``elapsed_secs``
 fields.
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from .graph_io import EdgeListParseError, read_edge_list, to_dot, write_edge_list
 from .graphs import FAMILIES, Graph, edge_corona, generate, gnp_random_graph
-from .labeler import LabelingConstructionError, construct_optimal, construct_weak_iasi
+from .labeler import construct_optimal, construct_weak_iasi
 from .setlabels import MissingLabelError, VertexLabeling, verify
 from .solver import (
     DEFAULT_BRUTE_CAP,
@@ -249,9 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_inputs_exist(args)
         return _COMMANDS[args.command](args)
-    except LabelingConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_INTERNAL
+    # ResourceLimitError first: SolverTimeout is also a TimeoutError, an OSError
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RESOURCE
@@ -260,11 +260,15 @@ def main(argv: list[str] | None = None) -> int:
         UnknownTheoremError,
         MissingLabelError,
         ValueError,
-        FileNotFoundError,
+        OSError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INPUT
+    except Exception as exc:
+        # a defect, such as a labeling that fails its own certification
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

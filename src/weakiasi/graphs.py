@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -278,19 +278,3 @@ def regularity(g: Graph) -> int | None:
     deg = g.degrees()
     r = deg[0]
     return r if all(d == r for d in deg) else None
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by the given vertices, renumbered 0..k-1.
-
-    Returns the subgraph and the map from original to new ids.
-    """
-    kept = sorted(set(vertices))
-    for v in kept:
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"vertex {v} out of range")
-    remap = {v: i for i, v in enumerate(kept)}
-    edges = tuple(
-        (remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap
-    )
-    return Graph(len(kept), edges), remap

@@ -19,10 +19,8 @@ from .graphs import Graph
 from .setlabels import SetLabel, VertexLabeling, verify
 from .solver import (
     DEFAULT_TIMEOUT_SECS,
-    InvalidPatternError,
     MonoPattern,
     SparingResult,
-    pattern_is_valid,
     pattern_mono_edges,
     sparing_exact,
 )
@@ -89,13 +87,9 @@ def construct_weak_iasi(g: Graph, p: MonoPattern) -> VertexLabeling:
     certified; if certification fails, LabelingConstructionError names the
     verifier's first violation.
     """
-    if not pattern_is_valid(g, p):
-        raise InvalidPatternError(
-            f"non-mono set {sorted(p.non_mono)} is not independent"
-        )
+    expected_mono_edges = pattern_mono_edges(g, p)
     labeling = _build(g, p)
     verdict = verify(g, labeling)
-    expected_mono_edges = pattern_mono_edges(g, p)
     if verdict.is_weak_iasi and verdict.mono_edge_count == expected_mono_edges:
         return labeling
     violation = verdict.first_violation or (

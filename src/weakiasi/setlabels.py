@@ -141,11 +141,10 @@ def count_mono_elements(g: Graph, f: VertexLabeling) -> tuple[int, int]:
 
     Edge counts come from the actual induced sumsets.
     """
-    _require_total(g, f)
+    edge_labels = induced_edge_labels(g, f)
     mono_vertices = sum(
         1 for v in range(g.vertex_count) if f.labels[v].is_singleton
     )
-    edge_labels = induced_edge_labels(g, f)
     mono_edges = sum(1 for label in edge_labels.values() if label.is_singleton)
     return mono_vertices, mono_edges
 
@@ -157,7 +156,7 @@ def verify(g: Graph, f: VertexLabeling) -> IASIVerdict:
     violation found (vertices in id order, then edges in canonical order) is
     reported for diagnosis.
     """
-    _require_total(g, f)
+    edge_labels = induced_edge_labels(g, f)
 
     violations: list[str] = []
 
@@ -172,8 +171,6 @@ def verify(g: Graph, f: VertexLabeling) -> IASIVerdict:
             )
             break
         seen_labels[key] = v
-
-    edge_labels = induced_edge_labels(g, f)
 
     weak_condition = True
     for (u, v), label in edge_labels.items():

@@ -15,11 +15,12 @@ Two exact methods are provided and must agree (value and witness):
 * ``sparing_exact`` runs a branch-and-bound: include/exclude branching on a
   highest-degree available vertex, connected-component decomposition, and
   memoization on the available-vertex bitmask.  Components are found by a
-  breadth-first search that expands only each layer's new frontier, and
-  are peeled off the low end of the available mask in a loop, so many
-  components cost neither rescans nor recursion depth.  A search deeper
-  than the interpreter's recursion limit (a path of a few thousand
-  vertices) raises ResourceLimitError.  The witness is then rebuilt
+  breadth-first search that expands only each layer's new frontier and
+  picks the branching vertex in the same pass, so a search node walks its
+  mask once.  Components are peeled off the low end of the available mask
+  in a loop, so many components cost neither rescans nor recursion depth.
+  A search deeper than the interpreter's recursion limit (a path of a few
+  thousand vertices) raises ResourceLimitError.  The witness is then rebuilt
   id by id: vertex v joins the witness iff the optimum is still reachable
   with v forced in, which reproduces the brute-force lexicographic
   tie-break.  Bipartite inputs skip the value search (the sparing number of
@@ -214,8 +215,11 @@ class _MaxWeightEngine:
         (their optima add), so the number of components does not deepen
         the recursion; every residual mask is memoized with the sum of its
         components' optima.  A connected mask branches include/exclude on
-        its pivot in this same frame, so each branching level costs one
-        stack frame.
+        the pivot its component search chose, in this same frame, so each
+        branching level costs one stack frame.  A peeled component is
+        searched again when it is solved: handing its known pivot down
+        would take a helper frame (doubling the stack depth per level) or
+        a second copy of the branch code.
         """
         residuals: list[int] = []
         parts: list[int] = []
@@ -227,13 +231,12 @@ class _MaxWeightEngine:
                 break
             self.explored += 1
             self._check_time()
-            component = self._component(avail)
+            component, pivot, pivot_degree = self._component(avail)
             if component != avail:
                 residuals.append(avail)
                 parts.append(self.solve(component))
                 avail ^= component
                 continue
-            pivot, pivot_degree = self._pivot(avail)
             if pivot_degree == 0:
                 total = self.weights[pivot]
             else:
@@ -247,35 +250,33 @@ class _MaxWeightEngine:
             self.memo[residual] = total
         return total
 
-    def _component(self, avail: int) -> int:
-        """Connected component of the lowest available vertex.
+    def _component(self, avail: int) -> tuple[int, int, int]:
+        """(component, pivot, pivot degree) for the lowest available vertex.
 
         Each BFS layer expands only the vertices it newly reached, so one
-        call costs O(size of the component) mask operations.
+        call costs O(size of the component) mask operations.  The same pass
+        picks the pivot: the component vertex with the most neighbours in
+        ``avail``, smallest id on ties.  A vertex's neighbours in ``avail``
+        all lie in its component, so for a connected ``avail`` this is the
+        highest-degree available vertex.
         """
+        adj = self.adj
         component = frontier = avail & -avail
+        pivot, pivot_degree = -1, -1
         while frontier:
             reach = 0
             while frontier:
                 bit = frontier & -frontier
                 frontier ^= bit
-                reach |= self.adj[bit.bit_length() - 1]
+                v = bit.bit_length() - 1
+                neighbours = adj[v]
+                reach |= neighbours
+                d = (neighbours & avail).bit_count()
+                if d > pivot_degree or (d == pivot_degree and v < pivot):
+                    pivot, pivot_degree = v, d
             frontier = reach & avail & ~component
             component |= frontier
-        return component
-
-    def _pivot(self, avail: int) -> tuple[int, int]:
-        """Available vertex with most available neighbours, smallest id wins ties."""
-        best_v, best_d = -1, -1
-        rest = avail
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            d = (self.adj[v] & avail).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-        return best_v, best_d
+        return component, pivot, pivot_degree
 
     def lex_min_witness(self, target: int) -> tuple[int, ...]:
         """Lexicographically smallest independent set of weight ``target``.
@@ -342,18 +343,13 @@ def sparing_exact(
     total = g.edge_count
 
     bipartite, _certificate = is_bipartite(g)
-    if bipartite:
-        best, witness, explored = _solve_max_weight(
-            g, degrees, timeout_secs, known_target=total
-        )
-        method = METHOD_BIPARTITE_SHORTCUT
-    else:
-        best, witness, explored = _solve_max_weight(g, degrees, timeout_secs)
-        method = METHOD_BRANCH_AND_BOUND
+    best, witness, explored = _solve_max_weight(
+        g, degrees, timeout_secs, known_target=total if bipartite else None
+    )
     return SparingResult(
         value=total - best,
         witness=MonoPattern(frozenset(witness)),
-        method=method,
+        method=METHOD_BIPARTITE_SHORTCUT if bipartite else METHOD_BRANCH_AND_BOUND,
         explored=explored,
         elapsed_secs=time.monotonic() - start,
     )

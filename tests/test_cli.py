@@ -243,6 +243,29 @@ def test_internal_labeling_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert "injected defect" in err
 
 
+def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    graph = write_graph(tmp_path, "c4.txt", "cycle", "4")
+
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("solver defect")
+
+    monkeypatch.setattr(cli, "sparing_exact", broken)
+    code, out, err = run(capsys, "sparing", "--graph", graph)
+    assert code == 4
+    assert out == ""
+    assert err == "error: RuntimeError: solver defect\n"
+
+
+def test_directory_as_out_exits_2(tmp_path, capsys):
+    graph = write_graph(tmp_path, "p3.txt", "path", "3")
+    for argv in (["label", "--graph", graph], ["gen", "path", "3"]):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check-theorems
 # ---------------------------------------------------------------------------

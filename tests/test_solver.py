@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakiasi import (
@@ -286,12 +286,20 @@ def rescanning_component(adj, avail):
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_vertices=14), st.integers(min_value=1, max_value=(1 << 14) - 1))
+# the BFS meets degree-2 vertex 4 before the tied, smaller vertex 1
+@example(Graph(6, ((0, 4), (4, 5), (1, 5), (1, 2))), (1 << 6) - 1)
 def test_component_matches_rescanning_reference(g, mask):
     avail = mask & ((1 << g.vertex_count) - 1)
     if not avail:
         return
-    engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
-    assert engine._component(avail) == rescanning_component(g.adjacency_masks(), avail)
+    adj = g.adjacency_masks()
+    engine = _MaxWeightEngine(adj, g.degrees(), None)
+    component, pivot, pivot_degree = engine._component(avail)
+    assert component == rescanning_component(adj, avail)
+    # naive pivot: most neighbours in avail, smallest id on ties
+    members = [v for v in range(g.vertex_count) if component >> v & 1]
+    naive = min(members, key=lambda v: (-(adj[v] & avail).bit_count(), v))
+    assert (pivot, pivot_degree) == (naive, (adj[naive] & avail).bit_count())
 
 
 @pytest.mark.parametrize(
