@@ -18,10 +18,10 @@ import sys
 import time
 from pathlib import Path
 
-from .graph_io import EdgeListParseError, read_edge_list, to_dot, write_edge_list
+from .graph_io import read_edge_list, to_dot, write_edge_list
 from .graphs import FAMILIES, Graph, edge_corona, generate, gnp_random_graph
 from .labeler import construct_optimal, construct_weak_iasi
-from .setlabels import MissingLabelError, VertexLabeling, verify
+from .setlabels import VertexLabeling, verify
 from .solver import (
     DEFAULT_BRUTE_CAP,
     DEFAULT_TIMEOUT_SECS,
@@ -30,7 +30,7 @@ from .solver import (
     sparing_bruteforce,
     sparing_exact,
 )
-from .theorems import THEOREM_IDS, UnknownTheoremError, check_theorem
+from .theorems import THEOREM_IDS, check_theorem
 
 EX_OK = 0
 EX_INPUT = 2
@@ -255,14 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RESOURCE
-    except (
-        EdgeListParseError,
-        UnknownTheoremError,
-        MissingLabelError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INPUT
     except Exception as exc:

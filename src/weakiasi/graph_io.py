@@ -77,8 +77,7 @@ def to_dot(g: Graph, labeling: VertexLabeling | None = None) -> str:
         attrs = [f'label="{v}"']
         if labeling is not None and v in labeling.labels:
             label = labeling.labels[v]
-            shown = "{" + ",".join(str(x) for x in label.elements) + "}"
-            attrs = [f'label="{v}: {shown}"']
+            attrs = [f'label="{v}: {label}"']
             if label.is_singleton:
                 attrs.append("style=filled")
         lines.append(f"  {v} [{', '.join(attrs)}];")

@@ -82,11 +82,11 @@ class VertexLabeling:
         for key, value in raw.items():
             try:
                 vertex = int(key)
+                canonical = key == str(vertex)
             except (TypeError, ValueError):
+                canonical = False
+            if not canonical:
                 raise ValueError(f"vertex id {key!r} is not a decimal string")
-        # second pass keeps error messages tied to the offending key
-        for key, value in raw.items():
-            vertex = int(key)
             if vertex < 0:
                 raise ValueError(f"vertex id {key!r} is negative")
             if not isinstance(value, (list, tuple)) or not all(
@@ -125,9 +125,14 @@ class IASIVerdict:
 
 
 def _require_total(g: Graph, f: VertexLabeling) -> None:
-    for v in range(g.vertex_count):
+    """Require a label for exactly the vertices 0..n-1 of ``g``."""
+    n = g.vertex_count
+    for v in range(n):
         if v not in f.labels:
             raise MissingLabelError(v)
+    if len(f.labels) > n:
+        extra = min(v for v in f.labels if not 0 <= v < n)
+        raise ValueError(f"label for vertex {extra}, which the {n}-vertex graph lacks")
 
 
 def induced_edge_labels(g: Graph, f: VertexLabeling) -> dict[tuple[int, int], SetLabel]:

@@ -16,9 +16,10 @@ Two exact methods are provided and must agree (value and witness):
   highest-degree available vertex, connected-component decomposition, and
   memoization on the available-vertex bitmask.  Components are found by a
   breadth-first search that expands only each layer's new frontier and
-  picks the branching vertex in the same pass, so a search node walks its
-  mask once.  Components are peeled off the low end of the available mask
-  in a loop, so many components cost neither rescans nor recursion depth.
+  picks the branching vertex in the same pass.  Components are peeled off
+  the low end of the available mask in a loop and each is branched where
+  it is found, so many components cost neither rescans nor recursion
+  depth, and no mask is walked twice.
   A search deeper than the interpreter's recursion limit (a path of a few
   thousand vertices) raises ResourceLimitError.  The witness is then rebuilt
   id by id: vertex v joins the witness iff the optimum is still reachable
@@ -33,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, is_bipartite
+from .graphs import Graph, cycle_graph, is_bipartite
 
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_TIMEOUT_SECS = 30.0
@@ -204,25 +205,18 @@ class _MaxWeightEngine:
     def progress(self) -> str:
         return f"after {self.explored} nodes with {len(self.memo)} memoized states"
 
-    def _check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
-
     def solve(self, avail: int) -> int:
         """Maximum weight of an independent set inside ``avail``.
 
-        Peels connected components off the low end of ``avail`` in a loop
-        (their optima add), so the number of components does not deepen
-        the recursion; every residual mask is memoized with the sum of its
-        components' optima.  A connected mask branches include/exclude on
-        the pivot its component search chose, in this same frame, so each
-        branching level costs one stack frame.  A peeled component is
-        searched again when it is solved: handing its known pivot down
-        would take a helper frame (doubling the stack depth per level) or
-        a second copy of the branch code.
+        Each loop step takes the lowest connected component of ``avail``
+        and its pivot from one component search, branches include/exclude
+        on that pivot in this same frame unless the component is memoized,
+        and peels the component off.  So every branching level costs one
+        stack frame, the number of components does not deepen the
+        recursion, and no mask is searched twice.  Every residual mask is
+        memoized with the sum of its components' optima.
         """
-        residuals: list[int] = []
-        parts: list[int] = []
+        peeled: list[tuple[int, int]] = []
         total = 0
         while avail:
             cached = self.memo.get(avail)
@@ -230,35 +224,38 @@ class _MaxWeightEngine:
                 total = cached
                 break
             self.explored += 1
-            self._check_time()
-            component, pivot, pivot_degree = self._component(avail)
-            if component != avail:
-                residuals.append(avail)
-                parts.append(self.solve(component))
-                avail ^= component
-                continue
-            if pivot_degree == 0:
-                total = self.weights[pivot]
-            else:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
+            component, pivot = self._component(avail)
+            part = self.memo.get(component)
+            if part is None:
+                if component != avail:
+                    self.explored += 1
                 bit = 1 << pivot
-                include = self.weights[pivot] + self.solve(avail & ~(self.adj[pivot] | bit))
-                total = max(include, self.solve(avail ^ bit))
-            self.memo[avail] = total
-            break
-        for residual, part in zip(reversed(residuals), reversed(parts)):
+                include = self.weights[pivot] + self.solve(
+                    component & ~(self.adj[pivot] | bit)
+                )
+                part = max(include, self.solve(component ^ bit))
+                self.memo[component] = part
+            if component == avail:
+                total = part
+                break
+            peeled.append((avail, part))
+            avail ^= component
+        for residual, part in reversed(peeled):
             total += part
             self.memo[residual] = total
         return total
 
-    def _component(self, avail: int) -> tuple[int, int, int]:
-        """(component, pivot, pivot degree) for the lowest available vertex.
+    def _component(self, avail: int) -> tuple[int, int]:
+        """(component, pivot) for the lowest available vertex.
 
         Each BFS layer expands only the vertices it newly reached, so one
         call costs O(size of the component) mask operations.  The same pass
         picks the pivot: the component vertex with the most neighbours in
         ``avail``, smallest id on ties.  A vertex's neighbours in ``avail``
-        all lie in its component, so for a connected ``avail`` this is the
-        highest-degree available vertex.
+        all lie in its component, so this is also the highest-degree vertex
+        of the component on its own.
         """
         adj = self.adj
         component = frontier = avail & -avail
@@ -276,7 +273,7 @@ class _MaxWeightEngine:
                     pivot, pivot_degree = v, d
             frontier = reach & avail & ~component
             component |= frontier
-        return component, pivot, pivot_degree
+        return component, pivot
 
     def lex_min_witness(self, target: int) -> tuple[int, ...]:
         """Lexicographically smallest independent set of weight ``target``.
@@ -376,8 +373,6 @@ def odd_cycle_parity_check(n: int, cap: int = DEFAULT_BRUTE_CAP) -> bool:
 
     Checked by full enumeration of the cycle's independent sets.
     """
-    from .graphs import cycle_graph
-
     if n < 3:
         raise ValueError("cycles need at least three vertices")
     if n > cap:

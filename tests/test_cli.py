@@ -231,6 +231,20 @@ def test_verify_labeling_missing_vertex_exits_2(tmp_path, capsys):
     assert "vertex 2" in err
 
 
+def test_verify_labeling_extra_vertex_exits_2(tmp_path, capsys):
+    graph = tmp_path / "k1.txt"
+    graph.write_text("1\n")
+    labeling_path = tmp_path / "extra.json"
+    labeling_path.write_text('{"vertex_labels": {"0": [1], "7": [2]}}')
+    code, out, err = run(
+        capsys, "verify-labeling", "--graph", str(graph), "--labeling", str(labeling_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "vertex 7" in err
+
+
 def test_internal_labeling_failure_exits_4(tmp_path, capsys, monkeypatch):
     graph = write_graph(tmp_path, "c4.txt", "cycle", "4")
 

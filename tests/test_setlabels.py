@@ -100,6 +100,15 @@ def test_missing_label_names_vertex():
     assert info.value.vertex == 2
 
 
+def test_label_for_absent_vertex_names_it():
+    f = VertexLabeling({0: SetLabel((1,)), 7: SetLabel((2,)), 1: SetLabel((3,))})
+    with pytest.raises(ValueError, match="vertex 7") as info:
+        induced_edge_labels(path_graph(2), f)
+    assert not isinstance(info.value, MissingLabelError)
+    with pytest.raises(ValueError, match="vertex 7"):
+        verify(path_graph(2), f)
+
+
 # ---------------------------------------------------------------------------
 # verify / count_mono_elements
 # ---------------------------------------------------------------------------
@@ -213,6 +222,8 @@ def test_labeling_json_round_trip():
         {"vertex_labels": {"0": "nope"}},
         {"vertex_labels": {"0": [1.5]}},
         {"vertex_labels": {"0": []}},
+        {"vertex_labels": {"0": [1], "1": [2], "01": [1, 5]}},
+        {"vertex_labels": {"1_0": [1]}},
     ],
 )
 def test_labeling_json_rejects_malformed(payload):

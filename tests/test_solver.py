@@ -294,12 +294,39 @@ def test_component_matches_rescanning_reference(g, mask):
         return
     adj = g.adjacency_masks()
     engine = _MaxWeightEngine(adj, g.degrees(), None)
-    component, pivot, pivot_degree = engine._component(avail)
+    component, pivot = engine._component(avail)
     assert component == rescanning_component(adj, avail)
     # naive pivot: most neighbours in avail, smallest id on ties
     members = [v for v in range(g.vertex_count) if component >> v & 1]
     naive = min(members, key=lambda v: (-(adj[v] & avail).bit_count(), v))
-    assert (pivot, pivot_degree) == (naive, (adj[naive] & avail).bit_count())
+    assert pivot == naive
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gnp_random_graph(60, 0.15, 1), disjoint_triangles(304)],
+    ids=["gnp60", "triangles304"],
+)
+def test_no_component_is_walked_twice(g, monkeypatch):
+    # each component is branched where the search finds it, never handed
+    # to a nested search that would walk it again
+    returned = set()
+    walked_again = []
+    component_search = _MaxWeightEngine._component
+
+    def recording(self, avail):
+        if avail in returned:
+            walked_again.append(avail)
+        component, pivot = component_search(self, avail)
+        returned.add(component)
+        return component, pivot
+
+    monkeypatch.setattr(_MaxWeightEngine, "_component", recording)
+    engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
+    engine.lex_min_witness(engine.solve((1 << g.vertex_count) - 1))
+    assert len(walked_again) == 0
+    # every search node is one memo miss that ends memoized
+    assert engine.explored == len(engine.memo)
 
 
 @pytest.mark.parametrize(
