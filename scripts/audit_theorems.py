@@ -24,13 +24,15 @@ import time
 from pathlib import Path
 
 from weakiasi import THEOREM_IDS, check_theorem
+from weakiasi.solver import DEFAULT_TIMEOUT_SECS
+from weakiasi.theorems import DEFAULT_AUDIT_VERTEX_CAP
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ids", nargs="+", default=list(THEOREM_IDS), choices=THEOREM_IDS)
     parser.add_argument("--json-dir", type=Path, help="write one JSON report per id")
-    parser.add_argument("--timeout-secs", type=float, default=30.0)
+    parser.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_SECS)
     parser.add_argument(
         "--extended",
         action="store_true",
@@ -38,7 +40,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    max_vertices = 66 if args.extended else 34
+    max_vertices = 66 if args.extended else DEFAULT_AUDIT_VERTEX_CAP
     if args.json_dir:
         args.json_dir.mkdir(parents=True, exist_ok=True)
 

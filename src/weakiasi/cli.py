@@ -38,24 +38,40 @@ EX_RESOURCE = 3
 EX_INTERNAL = 4
 
 
-def _emit_json(payload: dict, out: str | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit_json(payload: dict, out: str | None = None) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
 def _read_graph(path: str) -> Graph:
     return read_edge_list(Path(path).read_text())
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        data[key] = value
+    return data
+
+
+def _read_json(path: str) -> object:
+    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+
+
 def _read_labeling(path: str) -> VertexLabeling:
-    return VertexLabeling.from_json_dict(json.loads(Path(path).read_text()))
+    return VertexLabeling.from_json_dict(_read_json(path))
 
 
 def _read_pattern(path: str) -> MonoPattern:
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     if not isinstance(data, dict) or "non_mono" not in data:
         raise ValueError('pattern JSON must be an object with "non_mono"')
     ids = data["non_mono"]
@@ -95,11 +111,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         graph = gnp_random_graph(args.params[0], args.p, args.seed)
     else:
         graph = generate(args.family, args.params)
-    text = write_edge_list(graph)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_edge_list(graph), args.out)
     return EX_OK
 
 
@@ -171,11 +183,7 @@ def _cmd_check_theorems(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     labeling = _read_labeling(args.labeling) if args.labeling else None
-    text = to_dot(graph, labeling)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(to_dot(graph, labeling), args.out)
     return EX_OK
 
 
@@ -251,13 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_inputs_exist(args)
         return _COMMANDS[args.command](args)
-    # ResourceLimitError first: SolverTimeout is also a TimeoutError, an OSError
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_RESOURCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_INPUT
+        # a SolverTimeout is also an OSError, but it is a limit, not bad input
+        return EX_RESOURCE if isinstance(exc, ResourceLimitError) else EX_INPUT
     except Exception as exc:
         # a defect, such as a labeling that fails its own certification
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -12,20 +12,17 @@ Two exact methods are provided and must agree (value and witness):
   order of the sorted vertex sequence, and keeps the first optimum - which
   is therefore the lexicographically smallest optimal witness.
 
-* ``sparing_exact`` runs a branch-and-bound: include/exclude branching on a
-  highest-degree available vertex, connected-component decomposition, and
-  memoization on the available-vertex bitmask.  Components are found by a
-  breadth-first search that expands only each layer's new frontier and
-  picks the branching vertex in the same pass.  Components are peeled off
-  the low end of the available mask in a loop and each is branched where
-  it is found, so many components cost neither rescans nor recursion
-  depth, and no mask is walked twice.
-  A search deeper than the interpreter's recursion limit (a path of a few
-  thousand vertices) raises ResourceLimitError.  The witness is then rebuilt
-  id by id: vertex v joins the witness iff the optimum is still reachable
-  with v forced in, which reproduces the brute-force lexicographic
-  tie-break.  Bipartite inputs skip the value search (the sparing number of
-  a bipartite graph is 0) and go straight to witness reconstruction.
+* ``sparing_exact`` answers a bipartite graph without a search (value 0,
+  witness read off the 2-colouring ``is_bipartite`` returns) and solves any
+  other graph by branch-and-bound: include/exclude branching on a
+  highest-degree available vertex, connected components found by a
+  frontier-only breadth-first search that picks the branching vertex in the
+  same pass and peeled off in a loop, and memoization on the
+  available-vertex bitmask.  The witness is then rebuilt id by id: vertex v
+  joins it iff the optimum is still reachable with v forced in, which
+  reproduces the brute-force lexicographic tie-break.  A search deeper than
+  the interpreter's recursion limit (an odd cycle of a few thousand
+  vertices) raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -305,24 +302,19 @@ class _MaxWeightEngine:
 
 
 def _solve_max_weight(
-    g: Graph,
-    weights: list[int],
-    timeout_secs: float | None,
-    known_target: int | None = None,
+    g: Graph, weights: list[int], timeout_secs: float | None
 ) -> tuple[int, tuple[int, ...], int]:
     """(optimal weight, lex-min witness, nodes explored)."""
     deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
     engine = _MaxWeightEngine(g.adjacency_masks(), weights, deadline)
-    n = g.vertex_count
     try:
-        if known_target is None:
-            known_target = engine.solve((1 << n) - 1)
-        witness = engine.lex_min_witness(known_target)
+        best = engine.solve((1 << g.vertex_count) - 1)
+        witness = engine.lex_min_witness(best)
     except RecursionError:
         raise ResourceLimitError(
             f"search exceeded the interpreter's recursion limit {engine.progress()}"
         ) from None
-    return known_target, witness, engine.explored
+    return best, witness, engine.explored
 
 
 def sparing_exact(
@@ -330,21 +322,24 @@ def sparing_exact(
 ) -> SparingResult:
     """Exact sparing number with the same witness tie-break as brute force.
 
-    Bipartite graphs short-circuit to value 0 (one side of the bipartition
-    covers every edge); the witness is still the lexicographically smallest
-    optimal non-mono set.  Raises SolverTimeout when the budget runs out and
+    A bipartite graph has value 0 and its witness is read off its 2-colouring
+    with no search, so ``explored`` is 0 and ``timeout_secs`` is ignored.
+    Otherwise raises SolverTimeout when the budget runs out and
     ResourceLimitError when the search is too deep for the interpreter.
     """
     start = time.monotonic()
     degrees = g.degrees()
-    total = g.edge_count
-
-    bipartite, _certificate = is_bipartite(g)
-    best, witness, explored = _solve_max_weight(
-        g, degrees, timeout_secs, known_target=total if bipartite else None
-    )
+    bipartite, colouring = is_bipartite(g)
+    if bipartite:
+        # Colour 0 holds each component's smallest vertex and every isolated
+        # one; isolated vertices past the last covered one only lengthen it.
+        top = max((v for v, d in enumerate(degrees) if d and colouring[v] == 0), default=-1)
+        best, explored = g.edge_count, 0
+        witness = tuple(v for v in range(top + 1) if colouring[v] == 0)
+    else:
+        best, witness, explored = _solve_max_weight(g, degrees, timeout_secs)
     return SparingResult(
-        value=total - best,
+        value=g.edge_count - best,
         witness=MonoPattern(frozenset(witness)),
         method=METHOD_BIPARTITE_SHORTCUT if bipartite else METHOD_BRANCH_AND_BOUND,
         explored=explored,

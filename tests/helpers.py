@@ -43,6 +43,18 @@ def graphs(draw, max_vertices: int = 10) -> Graph:
 
 
 @st.composite
+def bipartite_graphs(draw, max_vertices: int = 14) -> Graph:
+    """Random edges between two random sides; a third role stays isolated."""
+    sides = draw(st.lists(st.integers(min_value=0, max_value=2), max_size=max_vertices))
+    n = len(sides)
+    pairs = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if {sides[u], sides[v]} == {0, 1}
+    ]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, tuple(chosen))
+
+
+@st.composite
 def set_labels(draw, max_size: int = 8, max_element: int = 99):
     from weakiasi import SetLabel
 

@@ -121,7 +121,7 @@ def test_sparing_timeout_exits_3(tmp_path, capsys):
 
 @pytest.fixture
 def shallow_stack():
-    """Leave about 150 frames of stack, so a path of 1,000 vertices is too deep."""
+    """Leave about 150 frames of stack, so a 1,001-cycle's search is too deep."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     yield
@@ -129,13 +129,23 @@ def shallow_stack():
 
 
 def test_sparing_too_deep_exits_3(tmp_path, capsys, shallow_stack):
-    graph = write_graph(tmp_path, "p1000.txt", "path", "1000")
+    graph = write_graph(tmp_path, "c1001.txt", "cycle", "1001")
     code, out, err = run(capsys, "sparing", "--graph", graph)
     assert code == 3
     assert out == ""
     assert err.startswith("error: search exceeded the interpreter's recursion limit after ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_sparing_long_path_needs_no_search(tmp_path, capsys):
+    graph = write_graph(tmp_path, "p3000.txt", "path", "3000")
+    code, out, err = run(capsys, "sparing", "--graph", graph)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["value"] == 0
+    assert data["witness"] == {"non_mono": list(range(0, 3000, 2))}
+    assert data["explored"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +215,31 @@ def test_label_invalid_pattern_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "independent" in err
+
+
+def test_label_pattern_with_repeated_key_exits_2(tmp_path, capsys):
+    graph = write_graph(tmp_path, "k2.txt", "complete", "2")
+    pattern_path = tmp_path / "pattern.json"
+    pattern_path.write_text('{"non_mono": [0], "non_mono": [1]}')
+    code, out, err = run(
+        capsys, "label", "--graph", graph, "--pattern", str(pattern_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate JSON key 'non_mono'\n"
+
+
+def test_verify_labeling_repeated_vertex_exits_2(tmp_path, capsys):
+    graph = tmp_path / "k2.txt"
+    graph.write_text("2\n0 1\n")
+    labeling_path = tmp_path / "repeated.json"
+    labeling_path.write_text('{"vertex_labels": {"0": [1], "1": [2], "1": [1, 5]}}')
+    code, out, err = run(
+        capsys, "verify-labeling", "--graph", str(graph), "--labeling", str(labeling_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate JSON key '1'\n"
 
 
 def test_verify_labeling_reports_duplicates(tmp_path, capsys):

@@ -25,10 +25,11 @@ from weakiasi import (
     sparing_bruteforce,
     sparing_exact,
 )
+from weakiasi import solver
 from weakiasi.graph_io import write_edge_list
 from weakiasi.solver import _MaxWeightEngine, _independent_sets
 
-from helpers import graphs, seeded_graphs
+from helpers import bipartite_graphs, graphs, seeded_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,37 @@ def test_lex_witness_includes_small_isolated_vertices():
     assert sparing_exact(g).witness.sorted_ids() == (0, 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs())
+def test_bipartite_witness_matches_bruteforce_without_search(g):
+    brute = sparing_bruteforce(g)
+    exact = sparing_exact(g)
+    assert (exact.value, exact.witness) == (brute.value, brute.witness)
+    assert (exact.explored, exact.method) == (0, "bipartite_shortcut")
+
+
+def test_bipartite_witness_keeps_isolated_vertices_below_the_last_covered():
+    # 2 lies between the covered vertices 0 and 3 and joins the witness;
+    # 5 lies above them and would only lengthen it
+    g = Graph(6, ((0, 1), (3, 4)))
+    assert sparing_bruteforce(g).witness.sorted_ids() == (0, 2, 3)
+    result = sparing_exact(g)
+    assert (result.value, result.witness.sorted_ids()) == (0, (0, 2, 3))
+    assert result.explored == 0
+
+
+def test_bipartite_inputs_build_no_engine(monkeypatch):
+    class NoEngine:
+        def __init__(self, *_args):
+            raise AssertionError("engine built")
+
+    monkeypatch.setattr(solver, "_MaxWeightEngine", NoEngine)
+    result = sparing_exact(path_graph(50), timeout_secs=0.0)
+    assert (result.value, result.witness.sorted_ids()) == (0, tuple(range(0, 50, 2)))
+    with pytest.raises(AssertionError, match="engine built"):
+        sparing_exact(cycle_graph(5))
+
+
 # ---------------------------------------------------------------------------
 # Component search and its cost
 # ---------------------------------------------------------------------------
@@ -332,7 +364,7 @@ def test_no_component_is_walked_twice(g, monkeypatch):
 @pytest.mark.parametrize(
     "g, value, explored",
     [
-        (path_graph(334), 0, 989),
+        (path_graph(334), 0, 0),  # bipartite: answered without a search
         (cycle_graph(223), 1, 1097),
         (disjoint_triangles(304), 304, 1215),
         (gnp_random_graph(60, 0.15, 1), 112, 44137),
