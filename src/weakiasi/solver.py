@@ -27,6 +27,7 @@ Two exact methods are provided and must agree (value and witness):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -152,7 +153,8 @@ def sparing_bruteforce(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> SparingResult:
 
     Keeps the lexicographically smallest optimal non-mono set (strict
     improvement over a lex-ordered enumeration).  Refuses graphs larger
-    than ``cap`` vertices.
+    than ``cap`` vertices, and raises ResourceLimitError when the
+    enumeration is deeper than the interpreter's recursion limit.
     """
     if g.vertex_count > cap:
         raise CapExceededError(
@@ -165,10 +167,16 @@ def sparing_bruteforce(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> SparingResult:
 
     best_mask, best_weight = 0, 0
     explored = 0
-    for mask, weight in _independent_sets(adj, degrees):
-        explored += 1
-        if weight > best_weight:
-            best_mask, best_weight = mask, weight
+    try:
+        for mask, weight in _independent_sets(adj, degrees):
+            explored += 1
+            if weight > best_weight:
+                best_mask, best_weight = mask, weight
+    except RecursionError:
+        raise ResourceLimitError(
+            "enumeration exceeded the interpreter's recursion limit "
+            f"after {explored} sets"
+        ) from None
     return SparingResult(
         value=total - best_weight,
         witness=MonoPattern(frozenset(_mask_to_ids(best_mask))),
@@ -305,6 +313,9 @@ def _solve_max_weight(
     g: Graph, weights: list[int], timeout_secs: float | None
 ) -> tuple[int, tuple[int, ...], int]:
     """(optimal weight, lex-min witness, nodes explored)."""
+    if timeout_secs is not None and math.isnan(timeout_secs):
+        # no clock reading ever passes a NaN deadline
+        raise ValueError("time budget must be a number of seconds, not nan")
     deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
     engine = _MaxWeightEngine(g.adjacency_masks(), weights, deadline)
     try:

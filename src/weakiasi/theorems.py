@@ -6,11 +6,14 @@ complete graphs; unions; and the mono-edge count of the standard corona
 labeling).  ``check_theorem`` instantiates the actual graphs, computes the
 exact optimum, and records agreement row by row.  Oracle values are
 authoritative: a row where the closed form and the oracle differ is a
-finding, not a failure, and is never suppressed.
+finding, not a failure, and is never suppressed.  A row's verdict is read
+off its values, and an entry's parameter names off its closed form's
+signature.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -23,6 +26,7 @@ from .graphs import (
     edge_corona,
     intersection,
     path_graph,
+    regularity,
     shift_vertices,
     union,
 )
@@ -165,45 +169,44 @@ def _mono_count(
 @dataclass(frozen=True)
 class TheoremEntry:
     theorem_id: str
-    params: tuple[str, ...]
     description: str
     evaluate: Callable[..., int]
+    params: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # the closed form's signature is the one list of its parameter names
+        names = tuple(inspect.signature(self.evaluate).parameters)
+        object.__setattr__(self, "params", names)
 
 
 REGISTRY: dict[str, TheoremEntry] = {
     entry.theorem_id: entry
     for entry in (
-        TheoremEntry("EC_PP", ("m", "n"), "path (m) corona path (n)", _ec_pp),
-        TheoremEntry("EC_PC", ("m", "n"), "path (m) corona cycle (n)", _ec_pc),
-        TheoremEntry("EC_CP", ("m", "n"), "cycle (m) corona path (n)", _ec_cp),
-        TheoremEntry("EC_CC", ("m", "n"), "cycle (m) corona cycle (n)", _ec_cc),
+        TheoremEntry("EC_PP", "path (m) corona path (n)", _ec_pp),
+        TheoremEntry("EC_PC", "path (m) corona cycle (n)", _ec_pc),
+        TheoremEntry("EC_CP", "cycle (m) corona path (n)", _ec_cp),
+        TheoremEntry("EC_CC", "cycle (m) corona cycle (n)", _ec_cc),
         TheoremEntry(
             "EC_RR",
-            ("m", "r", "n_prime", "phi2"),
             "r-regular corona r-regular (second factor stats n_prime, phi2)",
             _ec_regular_pair,
         ),
         TheoremEntry(
             "EC_RS",
-            ("m", "r", "n_prime", "phi2"),
             "r-regular corona s-regular, r <= s (statement form)",
             _ec_regular_pair,
         ),
-        TheoremEntry("EC_PK", ("m", "n"), "path (m) corona complete (n)", _ec_pk),
-        TheoremEntry("EC_CK", ("m", "n"), "cycle (m) corona complete (n)", _ec_ck),
-        TheoremEntry(
-            "EC_RK", ("r", "m", "n"), "r-regular (m) corona complete (n)", _ec_rk
-        ),
-        TheoremEntry("COMPLETE", ("n",), "complete graph on n vertices", _complete),
+        TheoremEntry("EC_PK", "path (m) corona complete (n)", _ec_pk),
+        TheoremEntry("EC_CK", "cycle (m) corona complete (n)", _ec_ck),
+        TheoremEntry("EC_RK", "r-regular (m) corona complete (n)", _ec_rk),
+        TheoremEntry("COMPLETE", "complete graph on n vertices", _complete),
         TheoremEntry(
             "UNION",
-            ("phi1", "phi2", "phi_intersection"),
             "sparing number of a union from the parts and the intersection",
             _union_formula,
         ),
         TheoremEntry(
             "MONO_COUNT",
-            ("m1", "m1_mono", "n2", "m2", "n2_mono", "m2_mono"),
             "mono edges of the corona labeling induced by factor labelings",
             _mono_count,
         ),
@@ -233,14 +236,22 @@ def formula_eval(theorem_id: str, **params: int) -> int:
 
 @dataclass
 class TheoremRow:
+    """One audit point; a row without an oracle value is unresolved."""
+
     params: dict
     formula_value: int | None
-    oracle_value: int | None
-    oracle_witness: tuple[int, ...] | None
-    bruteforce_value: int | None
-    agree: bool
-    unresolved: bool
+    oracle_value: int | None = None
+    oracle_witness: tuple[int, ...] | None = None
+    bruteforce_value: int | None = None
     variant_value: int | None = None
+
+    @property
+    def unresolved(self) -> bool:
+        return self.oracle_value is None
+
+    @property
+    def agree(self) -> bool:
+        return not self.unresolved and self.formula_value == self.oracle_value
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,14 +341,14 @@ class TheoremReport:
 # ---------------------------------------------------------------------------
 
 # r-regular building blocks for the regular-pair theorems.
-_REGULAR_CATALOG: tuple[tuple[str, Callable[[], Graph], int], ...] = (
-    ("C3", lambda: cycle_graph(3), 2),
-    ("C4", lambda: cycle_graph(4), 2),
-    ("C5", lambda: cycle_graph(5), 2),
-    ("K2,2", lambda: complete_bipartite_graph(2, 2), 2),
-    ("K4", lambda: complete_graph(4), 3),
-    ("K3,3", lambda: complete_bipartite_graph(3, 3), 3),
-    ("K5", lambda: complete_graph(5), 4),
+_REGULAR_CATALOG: tuple[tuple[str, Graph], ...] = (
+    ("C3", cycle_graph(3)),
+    ("C4", cycle_graph(4)),
+    ("C5", cycle_graph(5)),
+    ("K2,2", complete_bipartite_graph(2, 2)),
+    ("K4", complete_graph(4)),
+    ("K3,3", complete_bipartite_graph(3, 3)),
+    ("K5", complete_graph(5)),
 )
 
 _SIMPLE_CORONA_FAMILIES: dict[str, tuple[Callable[[int], Graph], Callable[[int], Graph], Sequence[int], Sequence[int]]] = {
@@ -387,19 +398,19 @@ def _corona_cases(
             for n in default_ns if n_values is None else n_values:
                 yield {"m": m, "n": n}, make1(m), make2(n)
         return
-    for name1, make1, r in _REGULAR_CATALOG:
+    for name1, g1 in _REGULAR_CATALOG:
+        r = regularity(g1)
         if theorem_id == "EC_RK":
-            g1 = make1()
             for n in range(r + 1, 5):
                 g2 = complete_graph(n)
                 if _corona_size(g1, g2) <= max_vertices:
                     yield {"g1": name1, "r": r, "m": g1.vertex_count, "n": n}, g1, g2
             continue
-        for name2, make2, r2 in _REGULAR_CATALOG:
-            if (r == r2) if theorem_id == "EC_RR" else (r < r2):
-                g1, g2 = make1(), make2()
-                if _corona_size(g1, g2) <= max_vertices:
-                    yield {"g1": name1, "g2": name2, "r": r}, g1, g2
+        for name2, g2 in _REGULAR_CATALOG:
+            r2 = regularity(g2)
+            paired = (r == r2) if theorem_id == "EC_RR" else (r < r2)
+            if paired and _corona_size(g1, g2) <= max_vertices:
+                yield {"g1": name1, "g2": name2, "r": r}, g1, g2
 
 
 def default_corona_instances(
@@ -422,21 +433,6 @@ def default_corona_instances(
 # The audit
 # ---------------------------------------------------------------------------
 
-def _unresolved_row(
-    params: dict, formula_value: int | None = None, variant_value: int | None = None
-) -> TheoremRow:
-    return TheoremRow(
-        params=params,
-        formula_value=formula_value,
-        oracle_value=None,
-        oracle_witness=None,
-        bruteforce_value=None,
-        agree=False,
-        unresolved=True,
-        variant_value=variant_value,
-    )
-
-
 def _audit_sparing_row(
     params: dict,
     graph: Graph,
@@ -447,7 +443,7 @@ def _audit_sparing_row(
     try:
         result = sparing_exact(graph, timeout_secs)
     except SolverTimeout:
-        return _unresolved_row(params, formula_value, variant_value)
+        return TheoremRow(params, formula_value, variant_value=variant_value)
     bruteforce_value = None
     if graph.vertex_count <= DEFAULT_AUDIT_VERTEX_CAP:
         brute = sparing_bruteforce(graph, cap=DEFAULT_AUDIT_VERTEX_CAP)
@@ -464,8 +460,6 @@ def _audit_sparing_row(
         oracle_value=result.value,
         oracle_witness=result.witness.sorted_ids(),
         bruteforce_value=bruteforce_value,
-        agree=formula_value == result.value,
-        unresolved=False,
         variant_value=variant_value,
     )
 
@@ -545,7 +539,7 @@ def _check_mono_count(report: TheoremReport, timeout_secs: float | None) -> None
             pat1 = pattern_for(g1, pat1_name)
             pat2 = pattern_for(g2, pat2_name)
         except SolverTimeout:
-            report.rows.append(_unresolved_row(names))
+            report.rows.append(TheoremRow(names, None))
             continue
         corona, prov = edge_corona(g1, g2)
         combined = set(pat1.non_mono)
@@ -564,22 +558,13 @@ def _check_mono_count(report: TheoremReport, timeout_secs: float | None) -> None
         }
         labeling = construct_weak_iasi(corona, combined_pattern)
         _verts, labeled_mono_edges = count_mono_elements(corona, labeling)
-        pattern_count = pattern_mono_edges(corona, combined_pattern)
-        if pattern_count != labeled_mono_edges:
-            raise RuntimeError(
-                "labeling/pattern mono-edge mismatch on "
-                f"{name1}/{pat1_name} corona {name2}/{pat2_name}"
-            )
-        formula_value = formula_eval("MONO_COUNT", **stats)
         report.rows.append(
             TheoremRow(
                 params={**names, **stats},
-                formula_value=formula_value,
+                formula_value=formula_eval("MONO_COUNT", **stats),
                 oracle_value=labeled_mono_edges,
                 oracle_witness=combined_pattern.sorted_ids(),
-                bruteforce_value=pattern_count,
-                agree=formula_value == labeled_mono_edges,
-                unresolved=False,
+                bruteforce_value=pattern_mono_edges(corona, combined_pattern),
             )
         )
 
@@ -619,7 +604,7 @@ def check_theorem(
         )
         for params, graph in cases:
             if graph is None:
-                report.rows.append(_unresolved_row(params))
+                report.rows.append(TheoremRow(params, None))
                 continue
             args = {k: params[k] for k in entry.params}
             variant = ec_rs_variant(**args) if theorem_id == "EC_RS" else None

@@ -121,7 +121,8 @@ def test_sparing_timeout_exits_3(tmp_path, capsys):
 
 @pytest.fixture
 def shallow_stack():
-    """Leave about 150 frames of stack, so a 1,001-cycle's search is too deep."""
+    """Leave about 150 frames of stack: too few for a 1,001-cycle's search
+    or for enumerating the independent sets of 300 isolated vertices."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     yield
@@ -136,6 +137,29 @@ def test_sparing_too_deep_exits_3(tmp_path, capsys, shallow_stack):
     assert err.startswith("error: search exceeded the interpreter's recursion limit after ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_bruteforce_too_deep_exits_3(tmp_path, capsys, shallow_stack):
+    graph = tmp_path / "e300.txt"
+    graph.write_text("300\n")
+    code, out, err = run(
+        capsys, "sparing", "--graph", str(graph), "--method", "bruteforce", "--cap", "300"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith(
+        "error: enumeration exceeded the interpreter's recursion limit after "
+    )
+    assert err.endswith(" sets\n")
+    assert err.count("\n") == 1
+
+
+def test_sparing_nan_timeout_exits_2(tmp_path, capsys):
+    graph = write_graph(tmp_path, "c5.txt", "cycle", "5")
+    code, out, err = run(capsys, "sparing", "--graph", graph, "--timeout-secs", "nan")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_sparing_long_path_needs_no_search(tmp_path, capsys):

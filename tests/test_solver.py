@@ -198,6 +198,12 @@ def test_timeout_message_reports_progress():
         sparing_exact(g, timeout_secs=0.0)
 
 
+def test_nan_time_budget_is_rejected():
+    # a NaN deadline is never passed, so it would silently disable the timeout
+    with pytest.raises(ValueError, match="nan"):
+        sparing_exact(cycle_graph(5), timeout_secs=float("nan"))
+
+
 def test_solver_equivalence_on_seeded_suite():
     for g in seeded_graphs(25, max_vertices=12, seed=99):
         brute = sparing_bruteforce(g)

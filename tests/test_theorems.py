@@ -12,7 +12,7 @@ from weakiasi import (
     default_corona_instances,
     formula_eval,
 )
-from weakiasi.theorems import ec_rs_variant
+from weakiasi.theorems import TheoremRow, ec_rs_variant
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +176,14 @@ def test_timeout_rows_marked_unresolved():
         assert not row.agree
 
 
+def test_row_verdicts_follow_the_oracle_value():
+    unresolved = TheoremRow({"n": 3}, 1)
+    assert unresolved.unresolved and not unresolved.agree
+    assert TheoremRow({"n": 3}, 1, oracle_value=1).agree
+    differ = TheoremRow({"n": 3}, 1, oracle_value=2)
+    assert not differ.agree and not differ.unresolved
+
+
 def test_report_serialization():
     report = check_theorem("COMPLETE", n_values=[3, 4])
     data = report.to_json_dict()
@@ -228,6 +236,24 @@ AUDIT_DIGESTS = {
 }
 
 
+# The same digests for check_theorem(id, timeout_secs=0), where every
+# non-bipartite instance, factor or part times out and its row is unresolved.
+TIMEOUT_DIGESTS = {
+    "EC_PP": ("a260fbb643e6f514de9b0249006f00969b131d28d410a139001945818ed9e455", "41b705987f5096b5eb397f301de7ccf0adcb5d5ceede001ef7eed76ae81ce23a"),
+    "EC_PC": ("8996e1083f17f47adacaa9481ad14a5466ac6d0854c2c95d3780cd7759d1e319", "bb05e9a31ad361590b760bbb79b4b2116e921d601e92cc1fbe3a2c6a24a48d5d"),
+    "EC_CP": ("a0129d56eb3974c89e5ee7670c9cd1f15d397b99f3450075232ce635681d4f56", "366cfe7b4dbd7f3fb980cba39f11a32802facc1cf48e72709ea8ef8be2eb3521"),
+    "EC_CC": ("eda30d69ea8a71c6e1456eeb56fd7b4ef26848406fa9181903bdd25547d95d05", "4daf4c3bbed8dc859e7bfce72d922f308398597916c865447dccc36cd127c0f5"),
+    "EC_RR": ("19c741d343d97596ec9d2d9c594405af97c8faaf2fe1f7b933996628c8b1c8ae", "6da2f806214a493b1a12d86f1e28ea572555e87fe35bb1816f604cea725236c6"),
+    "EC_RS": ("c28ed6e2a377c5e2ecf878010e88d0654e8438d4edc7a02876f4ab3db53802c4", "c1a3af1dde753497ffd57260e110da2bfe6e4b4ea2bec21666696d73ce696254"),
+    "EC_PK": ("52af66f9dfea993ce903caa509746dcf6788e3c2cc408da48d0ca911d1301e20", "86e46a38ece5f387e6313d3697687bce89f9f82a01f0313490175b553a602c27"),
+    "EC_CK": ("ef80b1f4c55ede984c7616a098fe8b238c659836b7b888818d1968e493c079f0", "608872a0f32a53d3f8984c5e38c1ded7080f49e6c2df920c17a77a19f2d3daa0"),
+    "EC_RK": ("80adc98439fad13e243b317bc186eeeaf5980ee4bc74dcd09f96d1812509f208", "ac36bb2b1fbf4947d8d99c5de846dee065fe01cd8aa665f70cb6bc28c9387aff"),
+    "COMPLETE": ("560b9e49599255acfd044c41ce6450b0a5fa1d192d9d76df9219d1cd2809bd44", "9f4641770cf296357a0dd3edc648f9ef61c633bdb686677b43d22d83b0db6182"),
+    "UNION": ("1f738d8717147fc5194dd8035efca725e20b591ed355f7d2ae9e75f993518bc4", "2e409fd3060d540003956a3fbe970811c701746a3ae1ddd7ef58cfdeac9201e2"),
+    "MONO_COUNT": ("cbacb761ecdd5a7d4ad61995b3ef82fb6af0976aafdc40a47ccacfbdd3bae12b", "7884f8a5f4a7305028179a9b8677d55d9f95657ddf56747aa613cb565e069740"),
+}
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -242,6 +268,19 @@ def test_audit_output_is_pinned(theorem_id, max_vertices):
     json_text = json.dumps(report.to_json_dict(), sort_keys=True)
     assert (_sha256(json_text), _sha256(report.render_text())) == AUDIT_DIGESTS[
         (theorem_id, max_vertices)
+    ]
+
+
+def test_timeout_digests_cover_every_id():
+    assert set(TIMEOUT_DIGESTS) == set(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorem_id", list(TIMEOUT_DIGESTS))
+def test_all_timeout_audit_output_is_pinned(theorem_id):
+    report = check_theorem(theorem_id, timeout_secs=0)
+    json_text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert (_sha256(json_text), _sha256(report.render_text())) == TIMEOUT_DIGESTS[
+        theorem_id
     ]
 
 
