@@ -24,11 +24,12 @@ import time
 from pathlib import Path
 
 from weakiasi import THEOREM_IDS, check_theorem
+from weakiasi.cli import EX_OK, EX_RESOURCE, run_reporting_errors
 from weakiasi.solver import DEFAULT_TIMEOUT_SECS
 from weakiasi.theorems import DEFAULT_AUDIT_VERTEX_CAP
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ids", nargs="+", default=list(THEOREM_IDS), choices=THEOREM_IDS)
     parser.add_argument("--json-dir", type=Path, help="write one JSON report per id")
@@ -38,8 +39,11 @@ def main() -> int:
         action="store_true",
         help="include regular-pair coronas up to 66 vertices (no brute cross-check)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    return run_reporting_errors(lambda: _audit(args))
 
+
+def _audit(args: argparse.Namespace) -> int:
     max_vertices = 66 if args.extended else DEFAULT_AUDIT_VERTEX_CAP
     if args.json_dir:
         args.json_dir.mkdir(parents=True, exist_ok=True)
@@ -75,8 +79,8 @@ def main() -> int:
         print("no deltas: every row agreed with the exact optimum")
     if unresolved:
         print(f"WARNING: {unresolved} rows unresolved (timeout)")
-        return 3
-    return 0
+        return EX_RESOURCE
+    return EX_OK
 
 
 if __name__ == "__main__":

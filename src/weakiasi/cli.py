@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from .graph_io import read_edge_list, to_dot, write_edge_list
 from .graphs import FAMILIES, Graph, edge_corona, generate, gnp_random_graph
@@ -253,12 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_reporting_errors(action: Callable[[], int]) -> int:
+    """``action()``'s exit code, or one ``error:`` line and the failure's code."""
     try:
-        _check_inputs_exist(args)
-        return _COMMANDS[args.command](args)
+        return action()
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a SolverTimeout is also an OSError, but it is a limit, not bad input
@@ -267,6 +266,16 @@ def main(argv: list[str] | None = None) -> int:
         # a defect, such as a labeling that fails its own certification
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_INTERNAL
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def run() -> int:
+        _check_inputs_exist(args)
+        return _COMMANDS[args.command](args)
+
+    return run_reporting_errors(run)
 
 
 if __name__ == "__main__":

@@ -17,12 +17,11 @@ Two exact methods are provided and must agree (value and witness):
   other graph by branch-and-bound: include/exclude branching on a
   highest-degree available vertex, connected components found by a
   frontier-only breadth-first search that picks the branching vertex in the
-  same pass and peeled off in a loop, and memoization on the
-  available-vertex bitmask.  The witness is then rebuilt id by id: vertex v
-  joins it iff the optimum is still reachable with v forced in, which
-  reproduces the brute-force lexicographic tie-break.  A search deeper than
-  the interpreter's recursion limit (an odd cycle of a few thousand
-  vertices) raises ResourceLimitError.
+  same pass and peeled off in a loop, and memoization of each component's
+  optimum together with its lexicographically smallest optimal set, so the
+  witness comes out of the same search.  A search deeper than the
+  interpreter's recursion limit (an odd cycle of a few thousand vertices)
+  raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -191,12 +190,13 @@ def sparing_bruteforce(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> SparingResult:
 # ---------------------------------------------------------------------------
 
 class _MaxWeightEngine:
-    """Maximum-weight independent set over bitmask states.
+    """Maximum-weight independent set over bitmask states, with its witness.
 
     Branches include/exclude on a highest-degree available vertex; splits
     available vertices into connected components first (their optima add);
-    memoizes on the availability mask, which also makes the witness
-    reconstruction queries cheap.  Raises RecursionError when the search
+    memoizes each connected mask with its optimum and its lexicographically
+    smallest optimal set.  Every searched vertex must have positive weight,
+    which the tie-break relies on.  Raises RecursionError when the search
     is deeper than the interpreter allows.
     """
 
@@ -204,53 +204,51 @@ class _MaxWeightEngine:
         self.adj = adj
         self.weights = weights
         self.deadline = deadline
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
         self.explored = 0
 
     def progress(self) -> str:
         return f"after {self.explored} nodes with {len(self.memo)} memoized states"
 
-    def solve(self, avail: int) -> int:
-        """Maximum weight of an independent set inside ``avail``.
+    def solve(self, avail: int) -> tuple[int, int]:
+        """(maximum weight, lex-min optimal members mask) inside ``avail``.
 
         Each loop step takes the lowest connected component of ``avail``
         and its pivot from one component search, branches include/exclude
         on that pivot in this same frame unless the component is memoized,
         and peels the component off.  So every branching level costs one
         stack frame, the number of components does not deepen the
-        recursion, and no mask is searched twice.  Every residual mask is
-        memoized with the sum of its components' optima.
+        recursion, and no component is searched twice.  The lex-min optima
+        of disjoint components unite into the lex-min optimum of their
+        union, so only connected masks are memoized.
         """
-        peeled: list[tuple[int, int]] = []
-        total = 0
+        total = members = 0
         while avail:
-            cached = self.memo.get(avail)
-            if cached is not None:
-                total = cached
-                break
-            self.explored += 1
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
-            component, pivot = self._component(avail)
-            part = self.memo.get(component)
+            component = avail
+            part = self.memo.get(avail)
             if part is None:
-                if component != avail:
-                    self.explored += 1
+                component, pivot = self._component(avail)
+                part = self.memo.get(component)
+            if part is None:
+                self.explored += 1
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
                 bit = 1 << pivot
-                include = self.weights[pivot] + self.solve(
-                    component & ~(self.adj[pivot] | bit)
-                )
-                part = max(include, self.solve(component ^ bit))
+                rest, rest_members = self.solve(component & ~(self.adj[pivot] | bit))
+                include = (self.weights[pivot] + rest, rest_members | bit)
+                exclude = self.solve(component ^ bit)
+                if include[0] == exclude[0]:
+                    # equal positive-weight optima never contain one another:
+                    # the lex-min one holds the lowest vertex where they differ
+                    differ = include[1] ^ exclude[1]
+                    part = include if include[1] & differ & -differ else exclude
+                else:
+                    part = max(include, exclude)
                 self.memo[component] = part
-            if component == avail:
-                total = part
-                break
-            peeled.append((avail, part))
+            total += part[0]
+            members |= part[1]
             avail ^= component
-        for residual, part in reversed(peeled):
-            total += part
-            self.memo[residual] = total
-        return total
+        return total, members
 
     def _component(self, avail: int) -> tuple[int, int]:
         """(component, pivot) for the lowest available vertex.
@@ -280,52 +278,28 @@ class _MaxWeightEngine:
             component |= frontier
         return component, pivot
 
-    def lex_min_witness(self, target: int) -> tuple[int, ...]:
-        """Lexicographically smallest independent set of weight ``target``.
-
-        Scans ids in increasing order; v is taken iff the target stays
-        reachable with v forced in.  Once the running weight hits the
-        target the current set is the answer: any further vertex would only
-        make the sorted sequence lexicographically larger.
-        """
-        n = len(self.adj)
-        full = (1 << n) - 1
-        chosen: list[int] = []
-        avail = full
-        weight = 0
-        for v in range(n):
-            if weight == target:
-                break
-            bit = 1 << v
-            if not avail & bit:
-                continue
-            beyond = avail & ~(self.adj[v] | bit) & (full << (v + 1))
-            if weight + self.weights[v] + self.solve(beyond) == target:
-                chosen.append(v)
-                weight += self.weights[v]
-                avail &= ~(self.adj[v] | bit)
-        if weight != target:
-            raise RuntimeError("witness reconstruction failed to reach the optimum")
-        return tuple(chosen)
-
 
 def _solve_max_weight(
     g: Graph, weights: list[int], timeout_secs: float | None
-) -> tuple[int, tuple[int, ...], int]:
-    """(optimal weight, lex-min witness, nodes explored)."""
+) -> tuple[int, int, int]:
+    """(optimal weight, lex-min optimal members mask, nodes explored).
+
+    Searches only the vertices of positive weight: the rest add nothing,
+    and where they belong in a lex-min witness is the caller's choice.
+    """
     if timeout_secs is not None and math.isnan(timeout_secs):
         # no clock reading ever passes a NaN deadline
         raise ValueError("time budget must be a number of seconds, not nan")
     deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
     engine = _MaxWeightEngine(g.adjacency_masks(), weights, deadline)
+    positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
     try:
-        best = engine.solve((1 << g.vertex_count) - 1)
-        witness = engine.lex_min_witness(best)
+        best, members = engine.solve(positive)
     except RecursionError:
         raise ResourceLimitError(
             f"search exceeded the interpreter's recursion limit {engine.progress()}"
         ) from None
-    return best, witness, engine.explored
+    return best, members, engine.explored
 
 
 def sparing_exact(
@@ -342,13 +316,14 @@ def sparing_exact(
     degrees = g.degrees()
     bipartite, colouring = is_bipartite(g)
     if bipartite:
-        # Colour 0 holds each component's smallest vertex and every isolated
-        # one; isolated vertices past the last covered one only lengthen it.
-        top = max((v for v, d in enumerate(degrees) if d and colouring[v] == 0), default=-1)
+        # colour 0 holds each component's smallest vertex: the lex-min optimum
+        chosen = sum(1 << v for v, d in enumerate(degrees) if d and colouring[v] == 0)
         best, explored = g.edge_count, 0
-        witness = tuple(v for v in range(top + 1) if colouring[v] == 0)
     else:
-        best, witness, explored = _solve_max_weight(g, degrees, timeout_secs)
+        best, chosen, explored = _solve_max_weight(g, degrees, timeout_secs)
+    # Isolated vertices weigh nothing: those below the highest chosen vertex
+    # make the witness lexicographically smaller, later ones only lengthen it.
+    witness = (v for v in range(chosen.bit_length()) if chosen >> v & 1 or not degrees[v])
     return SparingResult(
         value=g.edge_count - best,
         witness=MonoPattern(frozenset(witness)),
@@ -362,8 +337,8 @@ def max_independent_set(
     g: Graph, timeout_secs: float | None = DEFAULT_TIMEOUT_SECS
 ) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with the lex-min witness."""
-    size, witness, _explored = _solve_max_weight(g, [1] * g.vertex_count, timeout_secs)
-    return size, witness
+    size, members, _explored = _solve_max_weight(g, [1] * g.vertex_count, timeout_secs)
+    return size, _mask_to_ids(members)
 
 
 def min_mono_vertices(

@@ -1,6 +1,8 @@
+import importlib.util
 import inspect
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -457,3 +459,28 @@ def test_repeated_runs_identical_after_dropping_timing(tmp_path, capsys):
     _, out1, _ = run(capsys, "label", "--graph", graph)
     _, out2, _ = run(capsys, "label", "--graph", graph)
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# scripts/audit_theorems.py
+# ---------------------------------------------------------------------------
+
+def audit_script_main():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "audit_theorems.py"
+    spec = importlib.util.spec_from_file_location("audit_theorems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--timeout-secs", "nan"], ["--json-dir", "/dev/null/x"]],
+    ids=["nan-timeout", "json-dir-not-a-directory"],
+)
+def test_audit_script_failure_is_one_error_line(argv, capsys):
+    code = audit_script_main()(["--ids", "EC_PP", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -160,6 +160,8 @@ def test_witness_determinism():
 
 @settings(max_examples=120, deadline=None)
 @given(graphs(max_vertices=10))
+# a triangle on 1, 2, 3: isolated 0 joins the witness, isolated 4 does not
+@example(Graph(5, ((1, 2), (1, 3), (2, 3))))
 def test_exact_matches_bruteforce(g):
     brute = sparing_bruteforce(g)
     exact = sparing_exact(g)
@@ -361,7 +363,7 @@ def test_no_component_is_walked_twice(g, monkeypatch):
 
     monkeypatch.setattr(_MaxWeightEngine, "_component", recording)
     engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
-    engine.lex_min_witness(engine.solve((1 << g.vertex_count) - 1))
+    engine.solve((1 << g.vertex_count) - 1)
     assert len(walked_again) == 0
     # every search node is one memo miss that ends memoized
     assert engine.explored == len(engine.memo)
@@ -371,15 +373,15 @@ def test_no_component_is_walked_twice(g, monkeypatch):
     "g, value, explored",
     [
         (path_graph(334), 0, 0),  # bipartite: answered without a search
-        (cycle_graph(223), 1, 1097),
-        (disjoint_triangles(304), 304, 1215),
-        (gnp_random_graph(60, 0.15, 1), 112, 44137),
+        (cycle_graph(223), 1, 661),
+        (disjoint_triangles(304), 304, 912),
+        (gnp_random_graph(60, 0.15, 1), 112, 9190),
     ],
     ids=["path334", "cycle223", "triangles304", "gnp60"],
 )
 def test_explored_node_counts_are_pinned(g, value, explored):
-    # recorded with the whole-rescan, recursive component split: how
-    # components are found must not change the search tree or the memo
+    # one node per memoized connected component, found in a single search
+    # pass that carries each component's lex-min optimal set
     result = sparing_exact(g, timeout_secs=None)
     assert (result.value, result.explored) == (value, explored)
 
@@ -392,6 +394,19 @@ def test_max_independent_set_examples():
     assert max_independent_set(complete_graph(6)) == (1, (0,))
     assert max_independent_set(cycle_graph(6)) == (3, (0, 2, 4))
     assert max_independent_set(path_graph(5)) == (3, (0, 2, 4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(max_vertices=10))
+def test_max_independent_set_matches_enumeration(g):
+    # unit weights: isolated vertices count, and the first maximum in
+    # enumeration order is the lex-min one
+    best_mask, best_size = 0, 0
+    for mask, size in _independent_sets(g.adjacency_masks(), [1] * g.vertex_count):
+        if size > best_size:
+            best_mask, best_size = mask, size
+    members = tuple(v for v in range(g.vertex_count) if best_mask >> v & 1)
+    assert max_independent_set(g) == (best_size, members)
 
 
 def test_min_mono_vertices_examples():
