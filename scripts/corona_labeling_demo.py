@@ -22,17 +22,21 @@ from weakiasi import (
     to_dot,
     write_edge_list,
 )
+from weakiasi.cli import EX_OK, run_reporting_errors
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family1", default="cycle")
     parser.add_argument("--size1", type=int, default=5)
     parser.add_argument("--family2", default="cycle")
     parser.add_argument("--size2", type=int, default=3)
     parser.add_argument("--out-dir", type=Path, default=Path("demo_out"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    return run_reporting_errors(lambda: _demo(args))
 
+
+def _demo(args: argparse.Namespace) -> int:
     g1 = generate(args.family1, (args.size1,))
     g2 = generate(args.family2, (args.size2,))
     product, provenance = edge_corona(g1, g2)
@@ -59,7 +63,7 @@ def main() -> int:
     )
     (args.out_dir / "corona.dot").write_text(to_dot(product, labeling))
     print(f"wrote corona.txt, provenance.json, result.json, labeling.json, corona.dot to {args.out_dir}/")
-    return 0
+    return EX_OK
 
 
 if __name__ == "__main__":

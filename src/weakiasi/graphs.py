@@ -9,11 +9,12 @@ explicitly.
 
 from __future__ import annotations
 
+import inspect
 import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -125,25 +126,26 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     return Graph(a + b, tuple((u, a + v) for u in range(a) for v in range(b)))
 
 
-FAMILIES = ("path", "cycle", "complete", "complete_bipartite")
+# the named families of the command-line tool, each with its constructor
+FAMILIES: dict[str, Callable[..., Graph]] = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "complete_bipartite": complete_bipartite_graph,
+}
 
 
 def generate(family: str, params: Sequence[int]) -> Graph:
     """Build a named family member; used by the command-line tool."""
     name = family.replace("-", "_")
-    if name == "path":
-        (m,) = params
-        return path_graph(m)
-    if name == "cycle":
-        (n,) = params
-        return cycle_graph(n)
-    if name == "complete":
-        (n,) = params
-        return complete_graph(n)
-    if name == "complete_bipartite":
-        a, b = params
-        return complete_bipartite_graph(a, b)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    make = FAMILIES.get(name)
+    if make is None:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    arity = len(inspect.signature(make).parameters)
+    if len(params) != arity:
+        plural = "" if arity == 1 else "s"
+        raise ValueError(f"{name} takes {arity} parameter{plural}, got {len(params)}")
+    return make(*params)
 
 
 def gnp_random_graph(n: int, p: float, seed: int) -> Graph:

@@ -349,15 +349,17 @@ def min_mono_vertices(
     return g.vertex_count - size
 
 
-def odd_cycle_parity_check(n: int, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+def odd_cycle_parity_check(n: int) -> bool:
     """Every valid pattern on the n-cycle leaves a mono-edge count == n mod 2.
 
     Checked by full enumeration of the cycle's independent sets.
     """
     if n < 3:
         raise ValueError("cycles need at least three vertices")
-    if n > cap:
-        raise CapExceededError(f"{n} vertices exceed the enumeration cap of {cap}")
+    if n > DEFAULT_BRUTE_CAP:
+        raise CapExceededError(
+            f"{n} vertices exceed the enumeration cap of {DEFAULT_BRUTE_CAP}"
+        )
     g = cycle_graph(n)
     adj = g.adjacency_masks()
     for mask, _weight in _independent_sets(adj, [0] * n):

@@ -3,8 +3,10 @@
 Each registry entry is a closed-form candidate for the sparing number of a
 graph family (edge coronas of paths, cycles, regular and complete graphs;
 complete graphs; unions; and the mono-edge count of the standard corona
-labeling).  ``check_theorem`` instantiates the actual graphs, computes the
-exact optimum, and records agreement row by row.  Oracle values are
+labeling).  ``check_theorem`` takes each id's rows from one generator, which
+instantiates the actual graphs and sets each closed-form value beside the
+exact optimum.  A factor or part that times out yields an unresolved row
+where it happens.  Notes live in the registry entry.  Oracle values are
 authoritative: a row where the closed form and the oracle differ is a
 finding, not a failure, and is never suppressed.  A row's verdict is read
 off its values, and an entry's parameter names off its closed form's
@@ -171,6 +173,7 @@ class TheoremEntry:
     theorem_id: str
     description: str
     evaluate: Callable[..., int]
+    notes: tuple[str, ...] = ()
     params: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -195,6 +198,13 @@ REGISTRY: dict[str, TheoremEntry] = {
             "EC_RS",
             "r-regular corona s-regular, r <= s (statement form)",
             _ec_regular_pair,
+            (
+                "variant_value carries the alternative closed form "
+                "m*(n_prime + r + phi2); the registry evaluates the statement "
+                "form m*(n_prime + r*(1 + phi2)).",
+                "n_prime and phi2 are computed independently; no claim that one "
+                "labeling attains both simultaneously.",
+            ),
         ),
         TheoremEntry("EC_PK", "path (m) corona complete (n)", _ec_pk),
         TheoremEntry("EC_CK", "cycle (m) corona complete (n)", _ec_ck),
@@ -209,6 +219,10 @@ REGISTRY: dict[str, TheoremEntry] = {
             "MONO_COUNT",
             "mono edges of the corona labeling induced by factor labelings",
             _mono_count,
+            (
+                "oracle counts mono edges of the constructed corona labeling; "
+                "bruteforce_value recounts them by pattern arithmetic.",
+            ),
         ),
     )
 }
@@ -362,21 +376,6 @@ _SIMPLE_CORONA_FAMILIES: dict[str, tuple[Callable[[int], Graph], Callable[[int],
 
 _CORONA_IDS = (*_SIMPLE_CORONA_FAMILIES, "EC_RR", "EC_RS", "EC_RK")
 
-_NOTES: dict[str, tuple[str, ...]] = {
-    "EC_RS": (
-        "variant_value carries the alternative closed form "
-        "m*(n_prime + r + phi2); the registry evaluates the statement "
-        "form m*(n_prime + r*(1 + phi2)).",
-        "n_prime and phi2 are computed independently; no claim that one "
-        "labeling attains both simultaneously.",
-    ),
-    "MONO_COUNT": (
-        "oracle counts mono edges of the constructed corona labeling; "
-        "bruteforce_value recounts them by pattern arithmetic.",
-    ),
-}
-
-
 def _corona_size(g1: Graph, g2: Graph) -> int:
     return g1.vertex_count + g1.edge_count * g2.vertex_count
 
@@ -413,18 +412,17 @@ def _corona_cases(
                 yield {"g1": name1, "g2": name2, "r": r}, g1, g2
 
 
-def default_corona_instances(
-    max_vertices: int = DEFAULT_AUDIT_VERTEX_CAP,
-) -> Iterator[tuple[str, dict, Graph]]:
+def default_corona_instances() -> Iterator[tuple[str, dict, Graph]]:
     """Every corona graph the default audit touches, with its row params.
 
     Useful for sweeps that want exactly the audited instances (for example,
-    labeling every one of them).  ``max_vertices`` bounds only the EC_RR,
-    EC_RS and EC_RK products; the six simple families (EC_PP ... EC_CK)
-    yield their default m/n grids whatever the cap.
+    labeling every one of them).  The default vertex cap bounds only the
+    EC_RR, EC_RS and EC_RK products; the six simple families (EC_PP ...
+    EC_CK) yield their default m/n grids whatever the cap.
     """
     for theorem_id in _CORONA_IDS:
-        for params, g1, g2 in _corona_cases(theorem_id, None, None, max_vertices):
+        cases = _corona_cases(theorem_id, None, None, DEFAULT_AUDIT_VERTEX_CAP)
+        for params, g1, g2 in cases:
             product, _prov = edge_corona(g1, g2)
             yield theorem_id, params, product
 
@@ -433,17 +431,21 @@ def default_corona_instances(
 # The audit
 # ---------------------------------------------------------------------------
 
-def _audit_sparing_row(
-    params: dict,
-    graph: Graph,
-    formula_value: int,
-    variant_value: int | None,
-    timeout_secs: float | None,
+def _sparing_row(
+    entry: TheoremEntry, params: dict, graph: Graph, timeout_secs: float | None
 ) -> TheoremRow:
+    """The closed form at ``params`` against the exact sparing number of ``graph``.
+
+    The closed form is evaluated first, so a parameter outside its domain
+    raises before any solving.
+    """
+    args = {k: params[k] for k in entry.params}
+    formula_value = entry.evaluate(**args)
+    variant = ec_rs_variant(**args) if entry.theorem_id == "EC_RS" else None
     try:
         result = sparing_exact(graph, timeout_secs)
     except SolverTimeout:
-        return TheoremRow(params, formula_value, variant_value=variant_value)
+        return TheoremRow(params, formula_value, variant_value=variant)
     bruteforce_value = None
     if graph.vertex_count <= DEFAULT_AUDIT_VERTEX_CAP:
         brute = sparing_bruteforce(graph, cap=DEFAULT_AUDIT_VERTEX_CAP)
@@ -460,68 +462,11 @@ def _audit_sparing_row(
         oracle_value=result.value,
         oracle_witness=result.witness.sorted_ids(),
         bruteforce_value=bruteforce_value,
-        variant_value=variant_value,
+        variant_value=variant,
     )
 
 
-def _audit_cases(
-    theorem_id: str,
-    m_values: Sequence[int] | None,
-    n_values: Sequence[int] | None,
-    max_vertices: int,
-    timeout_secs: float | None,
-) -> Iterator[tuple[dict, Graph | None]]:
-    """(row params, graph to solve) per audit row; None if a factor timed out."""
-    if theorem_id == "COMPLETE":
-        for n in range(1, 9) if n_values is None else n_values:
-            yield {"n": n}, complete_graph(n)
-        return
-    if theorem_id == "UNION":
-        cases = [
-            ("one_point", a, b, a - 1) for a in range(2, 6) for b in range(2, 6)
-        ] + [("disjoint", a, b, a) for a in range(2, 5) for b in range(2, 5)]
-        for overlap, a, b, offset in cases:
-            g1 = complete_graph(a)
-            g2 = shift_vertices(complete_graph(b), offset)
-            names = {"overlap": overlap, "a": a, "b": b}
-            try:
-                phi1, phi2, phi_common = (
-                    sparing_exact(part, timeout_secs).value
-                    for part in (g1, g2, intersection(g1, g2))
-                )
-            except SolverTimeout:
-                yield names, None
-                continue
-            params = {**names, "phi1": phi1, "phi2": phi2, "phi_intersection": phi_common}
-            yield params, union(g1, g2)
-        return
-    factor_stats: dict[str, tuple[int, int]] = {}
-    for params, g1, g2 in _corona_cases(theorem_id, m_values, n_values, max_vertices):
-        if theorem_id in ("EC_RR", "EC_RS"):
-            name2 = params["g2"]
-            try:
-                if name2 not in factor_stats:
-                    factor_stats[name2] = (
-                        min_mono_vertices(g2, timeout_secs),
-                        sparing_exact(g2, timeout_secs).value,
-                    )
-            except SolverTimeout:
-                yield params, None
-                continue
-            n_prime, phi2 = factor_stats[name2]
-            params = {
-                "g1": params["g1"],
-                "g2": name2,
-                "m": g1.vertex_count,
-                "r": params["r"],
-                "n_prime": n_prime,
-                "phi2": phi2,
-            }
-        product, _prov = edge_corona(g1, g2)
-        yield params, product
-
-
-def _check_mono_count(report: TheoremReport, timeout_secs: float | None) -> None:
+def _mono_count_rows(timeout_secs: float | None) -> Iterator[TheoremRow]:
     factors1 = [("P3", path_graph(3)), ("C4", cycle_graph(4))]
     factors2 = [("P2", path_graph(2)), ("P3", path_graph(3))]
 
@@ -539,7 +484,7 @@ def _check_mono_count(report: TheoremReport, timeout_secs: float | None) -> None
             pat1 = pattern_for(g1, pat1_name)
             pat2 = pattern_for(g2, pat2_name)
         except SolverTimeout:
-            report.rows.append(TheoremRow(names, None))
+            yield TheoremRow(names, None)
             continue
         corona, prov = edge_corona(g1, g2)
         combined = set(pat1.non_mono)
@@ -558,15 +503,69 @@ def _check_mono_count(report: TheoremReport, timeout_secs: float | None) -> None
         }
         labeling = construct_weak_iasi(corona, combined_pattern)
         _verts, labeled_mono_edges = count_mono_elements(corona, labeling)
-        report.rows.append(
-            TheoremRow(
-                params={**names, **stats},
-                formula_value=formula_eval("MONO_COUNT", **stats),
-                oracle_value=labeled_mono_edges,
-                oracle_witness=combined_pattern.sorted_ids(),
-                bruteforce_value=pattern_mono_edges(corona, combined_pattern),
-            )
+        yield TheoremRow(
+            params={**names, **stats},
+            formula_value=_mono_count(**stats),
+            oracle_value=labeled_mono_edges,
+            oracle_witness=combined_pattern.sorted_ids(),
+            bruteforce_value=pattern_mono_edges(corona, combined_pattern),
         )
+
+
+def _audit_rows(
+    entry: TheoremEntry,
+    m_values: Sequence[int] | None,
+    n_values: Sequence[int] | None,
+    max_vertices: int,
+    timeout_secs: float | None,
+) -> Iterator[TheoremRow]:
+    """Every report row of one registry entry, in order.
+
+    A factor or part that times out yields a row with neither a closed-form
+    nor an oracle value, since the closed form's parameters are unknown.
+    """
+    theorem_id = entry.theorem_id
+    if theorem_id == "MONO_COUNT":
+        yield from _mono_count_rows(timeout_secs)
+        return
+    if theorem_id == "COMPLETE":
+        for n in range(1, 9) if n_values is None else n_values:
+            yield _sparing_row(entry, {"n": n}, complete_graph(n), timeout_secs)
+        return
+    if theorem_id == "UNION":
+        cases = [
+            ("one_point", a, b, a - 1) for a in range(2, 6) for b in range(2, 6)
+        ] + [("disjoint", a, b, a) for a in range(2, 5) for b in range(2, 5)]
+        for overlap, a, b, offset in cases:
+            g1 = complete_graph(a)
+            g2 = shift_vertices(complete_graph(b), offset)
+            names = {"overlap": overlap, "a": a, "b": b}
+            try:
+                phi1, phi2, phi_common = (
+                    sparing_exact(part, timeout_secs).value
+                    for part in (g1, g2, intersection(g1, g2))
+                )
+            except SolverTimeout:
+                yield TheoremRow(names, None)
+                continue
+            params = {**names, "phi1": phi1, "phi2": phi2, "phi_intersection": phi_common}
+            yield _sparing_row(entry, params, union(g1, g2), timeout_secs)
+        return
+    for params, g1, g2 in _corona_cases(theorem_id, m_values, n_values, max_vertices):
+        if theorem_id in ("EC_RR", "EC_RS"):
+            # the factors have at most 6 vertices, so each row solves its own
+            try:
+                n_prime = min_mono_vertices(g2, timeout_secs)
+                phi2 = sparing_exact(g2, timeout_secs).value
+            except SolverTimeout:
+                yield TheoremRow(params, None)
+                continue
+            params = dict(
+                g1=params["g1"], g2=params["g2"], m=g1.vertex_count, r=params["r"],
+                n_prime=n_prime, phi2=phi2,
+            )
+        product, _prov = edge_corona(g1, g2)
+        yield _sparing_row(entry, params, product, timeout_secs)
 
 
 def check_theorem(
@@ -579,12 +578,13 @@ def check_theorem(
 ) -> TheoremReport:
     """Audit one registry entry over its default (or given) parameter points.
 
-    Every row holds the closed-form value and the exact optimum; instances
-    small enough for the enumeration cap are recomputed by brute force, and
-    any disagreement between the two exact methods raises, since that would
-    be a solver defect rather than a finding.  ``max_vertices`` bounds only
-    the EC_RR, EC_RS and EC_RK products; the six simple corona families
-    audit every m/n point whatever the cap.
+    One row generator per id yields the report's rows.  Every row holds the
+    closed-form value and the exact optimum; instances small enough for the
+    enumeration cap are recomputed by brute force, and any disagreement
+    between the two exact methods raises, since that would be a solver
+    defect rather than a finding.  ``max_vertices`` bounds only the EC_RR,
+    EC_RS and EC_RK products; the six simple corona families audit every
+    m/n point whatever the cap.
     """
     entry = REGISTRY.get(theorem_id)
     if entry is None:
@@ -595,23 +595,5 @@ def check_theorem(
         m_values is not None or n_values is not None
     ):
         raise ValueError(f"{theorem_id} does not take m/n range overrides")
-    report = TheoremReport(theorem_id=theorem_id, description=entry.description)
-    if theorem_id == "MONO_COUNT":
-        _check_mono_count(report, timeout_secs)
-    else:
-        cases = _audit_cases(
-            theorem_id, m_values, n_values, max_vertices, timeout_secs
-        )
-        for params, graph in cases:
-            if graph is None:
-                report.rows.append(TheoremRow(params, None))
-                continue
-            args = {k: params[k] for k in entry.params}
-            variant = ec_rs_variant(**args) if theorem_id == "EC_RS" else None
-            report.rows.append(
-                _audit_sparing_row(
-                    params, graph, entry.evaluate(**args), variant, timeout_secs
-                )
-            )
-    report.notes.extend(_NOTES.get(theorem_id, ()))
-    return report
+    rows = _audit_rows(entry, m_values, n_values, max_vertices, timeout_secs)
+    return TheoremReport(theorem_id, entry.description, list(rows), list(entry.notes))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -6,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from weakiasi import LabelingConstructionError, cli
+from weakiasi import (
+    LabelingConstructionError,
+    VertexLabeling,
+    cli,
+    count_mono_elements,
+    read_edge_list,
+)
 from weakiasi.cli import main
 
 
@@ -43,6 +50,19 @@ def test_gen_bad_family_params(capsys):
     code, _, err = run(capsys, "gen", "cycle", "2")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["complete_bipartite", "3"], "complete_bipartite takes 2 parameters, got 1"),
+        (["path", "3", "4"], "path takes 1 parameter, got 2"),
+    ],
+    ids=["too-few", "too-many"],
+)
+def test_gen_wrong_parameter_count_exits_2(argv, message, capsys):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +219,25 @@ def test_corona_outputs(tmp_path, capsys):
     assert prov["base"] == [0, 1, 2, 3, 4]
     assert len(prov["copies"]) == 5
     assert all(len(copy) == 3 for copy in prov["copies"])
+
+
+def test_corona_and_sparing_verbose_lines(tmp_path, capsys):
+    g1 = write_graph(tmp_path, "c5.txt", "cycle", "5")
+    g2 = write_graph(tmp_path, "c3.txt", "cycle", "3")
+    out_graph = tmp_path / "product.txt"
+    code, _, err = run(
+        capsys,
+        "corona",
+        "--g1", g1,
+        "--g2", g2,
+        "--out-graph", str(out_graph),
+        "--out-provenance", str(tmp_path / "prov.json"),
+        "--verbose",
+    )
+    assert (code, err) == (0, "corona: 20 vertices, 50 edges\n")
+    code, out, err = run(capsys, "sparing", "--graph", str(out_graph), "--verbose")
+    explored = json.loads(out)["explored"]
+    assert (code, err) == (0, f"sparing number 30 via branch_and_bound, {explored} nodes\n")
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +504,16 @@ def test_repeated_runs_identical_after_dropping_timing(tmp_path, capsys):
 # scripts/audit_theorems.py
 # ---------------------------------------------------------------------------
 
-def audit_script_main():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "audit_theorems.py"
-    spec = importlib.util.spec_from_file_location("audit_theorems", path)
+def script_main(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.main
+
+
+def audit_script_main():
+    return script_main("audit_theorems")
 
 
 @pytest.mark.parametrize(
@@ -484,3 +527,57 @@ def test_audit_script_failure_is_one_error_line(argv, capsys):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# SHA-256 of the script's stdout without its "audited ... in Xs" timing line.
+AUDIT_SCRIPT_DIGESTS = {
+    "EC_PP": "30f4918a5894cff522580da887dfdce6366bdda55a0b0ae3ea476f49b3dc0798",
+    "COMPLETE": "6f8f369e6b4384b12fe79fcc0340a3780f7a62bd62c92468154f8bb831b64d22",
+}
+
+
+@pytest.mark.parametrize("theorem_id", list(AUDIT_SCRIPT_DIGESTS))
+def test_audit_script_output_is_pinned(theorem_id, capsys):
+    code = audit_script_main()(["--ids", theorem_id])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    lines = captured.out.splitlines(keepends=True)
+    timing = [line for line in lines if line.startswith("audited ")]
+    assert len(timing) == 1
+    text = "".join(line for line in lines if line not in timing)
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_SCRIPT_DIGESTS[theorem_id]
+    findings = "rows where the closed form and the oracle differ:" in text
+    assert findings == (theorem_id == "EC_PP")
+    assert ("no deltas" in text) == (not findings)
+
+
+# ---------------------------------------------------------------------------
+# scripts/corona_labeling_demo.py
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--family1", "complete_bipartite"], ["--family1", "nope"], ["--out-dir", "/dev/null/x"]],
+    ids=["wrong-parameter-count", "unknown-family", "out-dir-not-a-directory"],
+)
+def test_demo_script_failure_is_one_error_line(argv, capsys):
+    code = script_main("corona_labeling_demo")(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_demo_script_writes_a_certified_optimal_labeling(tmp_path, capsys):
+    code = script_main("corona_labeling_demo")(["--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "corona.dot", "corona.txt", "labeling.json", "provenance.json", "result.json",
+    ]
+    graph = read_edge_list((tmp_path / "corona.txt").read_text())
+    labeling = VertexLabeling.from_json_dict(
+        json.loads((tmp_path / "labeling.json").read_text())
+    )
+    _mono_vertices, mono_edges = count_mono_elements(graph, labeling)
+    assert mono_edges == json.loads((tmp_path / "result.json").read_text())["value"] == 30
