@@ -40,6 +40,7 @@ def _demo(args: argparse.Namespace) -> int:
     g1 = generate(args.family1, (args.size1,))
     g2 = generate(args.family2, (args.size2,))
     product, provenance = edge_corona(g1, g2)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     print(
         f"{args.family1}({args.size1}) corona {args.family2}({args.size2}): "
         f"{product.vertex_count} vertices, {product.edge_count} edges"
@@ -50,7 +51,6 @@ def _demo(args: argparse.Namespace) -> int:
     print(f"sparing number {result.value} ({result.method}, {result.explored} nodes)")
     print(f"labeling: {mono_vertices} mono vertices, {mono_edges} mono edges")
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     (args.out_dir / "corona.txt").write_text(write_edge_list(product))
     (args.out_dir / "provenance.json").write_text(
         json.dumps(provenance.to_json_dict(), indent=2, sort_keys=True) + "\n"

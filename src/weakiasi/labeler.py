@@ -51,19 +51,31 @@ class SidonSequence:
 
 
 def sidon(k: int) -> SidonSequence:
-    """First k terms of the greedy Sidon sequence 1, 2, 3, 5, 8, 13, ..."""
+    """First k terms of the greedy Sidon sequence 1, 2, 3, 5, 8, 13, ...
+
+    A candidate d above every term collides only if d + t = a + b for terms
+    t < a < b, that is d = b + (a - t).  So each accepted term b blocks
+    ``gaps << b``, where ``gaps`` holds bit a - t for each pair of earlier
+    terms, and the next term is the lowest clear bit of ``blocked`` above b.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     terms: list[int] = []
-    sums: set[int] = set()
+    gaps = blocked = 0
     candidate = 1
-    while len(terms) < k:
-        new_sums = {t + candidate for t in terms}
-        if not new_sums & sums:
-            sums |= new_sums
-            terms.append(candidate)
+    while True:
+        free = ~blocked >> candidate
+        candidate += (free & -free).bit_length() - 1
+        terms.append(candidate)
+        if len(terms) == k:
+            return SidonSequence(tuple(terms))
+        blocked |= gaps << candidate
+        new_gaps = bytearray(candidate // 8 + 1)
+        for t in terms[:-1]:
+            d = candidate - t
+            new_gaps[d >> 3] |= 1 << (d & 7)
+        gaps |= int.from_bytes(new_gaps, "little")
         candidate += 1
-    return SidonSequence(tuple(terms))
 
 
 def _build(g: Graph, p: MonoPattern) -> VertexLabeling:

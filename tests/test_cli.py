@@ -258,6 +258,20 @@ def test_label_then_verify_round_trip(tmp_path, capsys):
     assert verdict["mono_edge_count"] == 0
 
 
+def test_label_long_path_finishes(tmp_path, capsys):
+    graph = write_graph(tmp_path, "p1200.txt", "path", "1200")
+    labeling_path = tmp_path / "labeling.json"
+    code, _, err = run(capsys, "label", "--graph", graph, "--out", str(labeling_path))
+    assert (code, err) == (0, "")
+    code, out, _ = run(
+        capsys, "verify-labeling", "--graph", graph, "--labeling", str(labeling_path)
+    )
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["is_weak_iasi"] is True
+    assert (verdict["mono_vertex_count"], verdict["mono_edge_count"]) == (600, 0)
+
+
 def test_label_with_supplied_pattern(tmp_path, capsys):
     graph = write_graph(tmp_path, "k4.txt", "complete", "4")
     pattern_path = tmp_path / "pattern.json"
@@ -564,6 +578,14 @@ def test_demo_script_failure_is_one_error_line(argv, capsys):
     code = script_main("corona_labeling_demo")(argv)
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_demo_script_checks_out_dir_before_solving(capsys):
+    code = script_main("corona_labeling_demo")(["--out-dir", "/dev/null/x"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
 

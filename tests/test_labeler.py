@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -60,6 +62,34 @@ def test_sidon_sequence_validates():
         SidonSequence((2, 1))
     with pytest.raises(ValueError):
         SidonSequence((0, 1))
+
+
+def reference_sidon(k):
+    """The greedy definition: try every integer against the pairwise-sum set."""
+    terms = []
+    sums = set()
+    candidate = 1
+    while len(terms) < k:
+        new_sums = {t + candidate for t in terms}
+        if not new_sums & sums:
+            sums |= new_sums
+            terms.append(candidate)
+        candidate += 1
+    return tuple(terms)
+
+
+def test_sidon_matches_the_greedy_definition():
+    reference = reference_sidon(120)
+    for k in range(1, 121):
+        assert sidon(k).terms == reference[:k]
+
+
+def test_sidon_long_prefixes_are_pinned():
+    assert sidon(154).terms[-1] == 85236
+    terms = sidon(250).terms
+    assert terms[-1] == 319430
+    digest = hashlib.sha256(",".join(map(str, terms)).encode()).hexdigest()
+    assert digest == "02178d8123d5f0433c8c879536648c34b4368728a06df9b175f88a5afe890348"
 
 
 # ---------------------------------------------------------------------------
