@@ -13,6 +13,7 @@ fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -133,7 +134,7 @@ def _cmd_corona(args: argparse.Namespace) -> int:
 def _cmd_sparing(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     if args.method == "bruteforce":
-        result = sparing_bruteforce(graph, cap=args.cap)
+        result = sparing_bruteforce(graph, cap=args.cap, timeout_secs=args.timeout_secs)
     else:
         result = sparing_exact(graph, timeout_secs=args.timeout_secs)
     _emit_json(result.to_json_dict())
@@ -199,6 +200,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakiasi",

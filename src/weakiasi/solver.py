@@ -9,8 +9,8 @@ sparing number is |E| minus a degree-weighted maximum independent set.
 Two exact methods are provided and must agree (value and witness):
 
 * ``sparing_bruteforce`` enumerates every independent set, in lexicographic
-  order of the sorted vertex sequence, and keeps the first optimum - which
-  is therefore the lexicographically smallest optimal witness.
+  order of the sorted vertex sequence, under an optional time budget, and
+  keeps the first optimum - the lexicographically smallest optimal witness.
 
 * ``sparing_exact`` answers a bipartite graph without a search (value 0,
   witness read off the 2-colouring ``is_bipartite`` returns) and solves any
@@ -19,9 +19,9 @@ Two exact methods are provided and must agree (value and witness):
   frontier-only breadth-first search that picks the branching vertex in the
   same pass and peeled off in a loop, and memoization of each component's
   optimum together with its lexicographically smallest optimal set, so the
-  witness comes out of the same search.  A search deeper than the
-  interpreter's recursion limit (an odd cycle of a few thousand vertices)
-  raises ResourceLimitError.
+  witness comes out of the same search.  This is the only route that can
+  hit the interpreter's recursion limit: a search deeper than that (an odd
+  cycle of a few thousand vertices) raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class SolverTimeout(ResourceLimitError, TimeoutError):
-    """The exact solver exceeded its time budget."""
+    """An exact route exceeded its time budget."""
 
 
 class CapExceededError(ResourceLimitError):
@@ -124,18 +124,17 @@ def _independent_sets(adj: list[int], weights: list[int]) -> Iterator[tuple[int,
     the sum of member weights, which for weights = degrees is exactly the
     number of edges covered by the set.
     """
-    n = len(adj)
-
-    def walk(allowed: int, mask: int, weight: int) -> Iterator[tuple[int, int]]:
-        yield mask, weight
-        rest = allowed
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            yield from walk(rest & ~adj[v], mask | bit, weight + weights[v])
-
-    yield from walk((1 << n) - 1, 0, 0)
+    yield 0, 0
+    stack = [((1 << len(adj)) - 1, 0, 0)]
+    while stack:
+        rest, mask, weight = stack.pop()
+        if rest:
+            v = (rest & -rest).bit_length() - 1
+            rest ^= 1 << v
+            stack.append((rest, mask, weight))
+            mask, weight = mask | 1 << v, weight + weights[v]
+            yield mask, weight
+            stack.append((rest & ~adj[v], mask, weight))
 
 
 def _mask_to_ids(mask: int) -> tuple[int, ...]:
@@ -147,35 +146,42 @@ def _mask_to_ids(mask: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def sparing_bruteforce(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> SparingResult:
+def _deadline(timeout_secs: float | None) -> float | None:
+    """The clock reading at which a budget of ``timeout_secs`` runs out."""
+    if timeout_secs is not None and math.isnan(timeout_secs):
+        # no clock reading ever passes a NaN deadline
+        raise ValueError("time budget must be a number of seconds, not nan")
+    return None if timeout_secs is None else time.monotonic() + timeout_secs
+
+
+def sparing_bruteforce(
+    g: Graph, cap: int = DEFAULT_BRUTE_CAP, timeout_secs: float | None = None
+) -> SparingResult:
     """Defining minimization, executed literally over all valid patterns.
 
     Keeps the lexicographically smallest optimal non-mono set (strict
     improvement over a lex-ordered enumeration).  Refuses graphs larger
-    than ``cap`` vertices, and raises ResourceLimitError when the
-    enumeration is deeper than the interpreter's recursion limit.
+    than ``cap`` vertices; reads the clock every 4,096 sets and raises
+    SolverTimeout once ``timeout_secs`` have passed.
     """
     if g.vertex_count > cap:
         raise CapExceededError(
             f"{g.vertex_count} vertices exceed the brute-force cap of {cap}"
         )
     start = time.monotonic()
+    deadline = _deadline(timeout_secs)
     adj = g.adjacency_masks()
     degrees = g.degrees()
     total = g.edge_count
 
     best_mask, best_weight = 0, 0
     explored = 0
-    try:
-        for mask, weight in _independent_sets(adj, degrees):
-            explored += 1
-            if weight > best_weight:
-                best_mask, best_weight = mask, weight
-    except RecursionError:
-        raise ResourceLimitError(
-            "enumeration exceeded the interpreter's recursion limit "
-            f"after {explored} sets"
-        ) from None
+    for mask, weight in _independent_sets(adj, degrees):
+        explored += 1
+        if weight > best_weight:
+            best_mask, best_weight = mask, weight
+        if not explored & 4095 and deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout(f"enumeration exceeded its time budget after {explored} sets")
     return SparingResult(
         value=total - best_weight,
         witness=MonoPattern(frozenset(_mask_to_ids(best_mask))),
@@ -287,11 +293,7 @@ def _solve_max_weight(
     Searches only the vertices of positive weight: the rest add nothing,
     and where they belong in a lex-min witness is the caller's choice.
     """
-    if timeout_secs is not None and math.isnan(timeout_secs):
-        # no clock reading ever passes a NaN deadline
-        raise ValueError("time budget must be a number of seconds, not nan")
-    deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
-    engine = _MaxWeightEngine(g.adjacency_masks(), weights, deadline)
+    engine = _MaxWeightEngine(g.adjacency_masks(), weights, _deadline(timeout_secs))
     positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
     try:
         best, members = engine.solve(positive)

@@ -448,6 +448,7 @@ def _sparing_row(
         return TheoremRow(params, formula_value, variant_value=variant)
     bruteforce_value = None
     if graph.vertex_count <= DEFAULT_AUDIT_VERTEX_CAP:
+        # no budget: bipartite rows get here even at timeout 0, as the all-timeout digests pin
         brute = sparing_bruteforce(graph, cap=DEFAULT_AUDIT_VERTEX_CAP)
         if brute.value != result.value or brute.witness != result.witness:
             raise RuntimeError(

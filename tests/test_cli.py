@@ -143,8 +143,7 @@ def test_sparing_timeout_exits_3(tmp_path, capsys):
 
 @pytest.fixture
 def shallow_stack():
-    """Leave about 150 frames of stack: too few for a 1,001-cycle's search
-    or for enumerating the independent sets of 300 isolated vertices."""
+    """Leave about 150 frames of stack: too few for a 1,001-cycle's search."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     yield
@@ -161,27 +160,30 @@ def test_sparing_too_deep_exits_3(tmp_path, capsys, shallow_stack):
     assert "Traceback" not in err
 
 
-def test_bruteforce_too_deep_exits_3(tmp_path, capsys, shallow_stack):
+def test_bruteforce_timeout_exits_3(tmp_path, capsys):
+    # 2**300 independent sets: only the time budget ends the enumeration
     graph = tmp_path / "e300.txt"
     graph.write_text("300\n")
     code, out, err = run(
-        capsys, "sparing", "--graph", str(graph), "--method", "bruteforce", "--cap", "300"
+        capsys, "sparing", "--graph", str(graph), "--method", "bruteforce",
+        "--cap", "300", "--timeout-secs", "0.5",
     )
     assert code == 3
     assert out == ""
-    assert err.startswith(
-        "error: enumeration exceeded the interpreter's recursion limit after "
-    )
+    assert err.startswith("error: enumeration exceeded its time budget after ")
     assert err.endswith(" sets\n")
     assert err.count("\n") == 1
 
 
 def test_sparing_nan_timeout_exits_2(tmp_path, capsys):
     graph = write_graph(tmp_path, "c5.txt", "cycle", "5")
-    code, out, err = run(capsys, "sparing", "--graph", graph, "--timeout-secs", "nan")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+    for method in ("exact", "bruteforce"):
+        code, out, err = run(
+            capsys, "sparing", "--graph", graph, "--method", method, "--timeout-secs", "nan"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 def test_sparing_long_path_needs_no_search(tmp_path, capsys):

@@ -94,6 +94,31 @@ def test_enumeration_is_lexicographic():
     assert order == [0b000, 0b001, 0b101, 0b010, 0b100]
 
 
+def _recursive_independent_sets(adj, weights):
+    """The enumeration as first written, one generator frame per member."""
+
+    def walk(allowed, mask, weight):
+        yield mask, weight
+        rest = allowed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            yield from walk(rest & ~adj[v], mask | bit, weight + weights[v])
+
+    yield from walk((1 << len(adj)) - 1, 0, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=12), st.booleans())
+def test_enumeration_matches_recursive_reference(g, unit_weights):
+    adj = g.adjacency_masks()
+    weights = [1] * g.vertex_count if unit_weights else g.degrees()
+    assert list(_independent_sets(adj, weights)) == list(
+        _recursive_independent_sets(adj, weights)
+    )
+
+
 def test_bruteforce_k4():
     result = sparing_bruteforce(complete_graph(4))
     assert result.value == 3
