@@ -18,19 +18,18 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 from weakiasi import THEOREM_IDS, check_theorem
-from weakiasi.cli import EX_OK, EX_RESOURCE, run_reporting_errors
+from weakiasi.cli import EX_OK, EX_RESOURCE, ArgumentParser, emit_json, run_reporting_errors
 from weakiasi.solver import DEFAULT_TIMEOUT_SECS
 from weakiasi.theorems import DEFAULT_AUDIT_VERTEX_CAP
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ids", nargs="+", default=list(THEOREM_IDS), choices=THEOREM_IDS)
     parser.add_argument("--json-dir", type=Path, help="write one JSON report per id")
     parser.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_SECS)
@@ -39,8 +38,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="include regular-pair coronas up to 66 vertices (no brute cross-check)",
     )
-    args = parser.parse_args(argv)
-    return run_reporting_errors(lambda: _audit(args))
+    return run_reporting_errors(lambda: _audit(parser.parse_args(argv)))
 
 
 def _audit(args: argparse.Namespace) -> int:
@@ -63,10 +61,7 @@ def _audit(args: argparse.Namespace) -> int:
             if not row.agree and not row.unresolved
         )
         if args.json_dir:
-            path = args.json_dir / f"{tid}.json"
-            path.write_text(
-                json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-            )
+            emit_json(report.to_json_dict(), args.json_dir / f"{tid}.json")
     elapsed = time.perf_counter() - start
 
     print(f"audited {len(args.ids)} registry entries in {elapsed:.1f}s")

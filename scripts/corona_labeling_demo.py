@@ -10,7 +10,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,18 +21,17 @@ from weakiasi import (
     to_dot,
     write_edge_list,
 )
-from weakiasi.cli import EX_OK, run_reporting_errors
+from weakiasi.cli import EX_OK, ArgumentParser, emit_json, run_reporting_errors
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family1", default="cycle")
     parser.add_argument("--size1", type=int, default=5)
     parser.add_argument("--family2", default="cycle")
     parser.add_argument("--size2", type=int, default=3)
     parser.add_argument("--out-dir", type=Path, default=Path("demo_out"))
-    args = parser.parse_args(argv)
-    return run_reporting_errors(lambda: _demo(args))
+    return run_reporting_errors(lambda: _demo(parser.parse_args(argv)))
 
 
 def _demo(args: argparse.Namespace) -> int:
@@ -52,15 +50,9 @@ def _demo(args: argparse.Namespace) -> int:
     print(f"labeling: {mono_vertices} mono vertices, {mono_edges} mono edges")
 
     (args.out_dir / "corona.txt").write_text(write_edge_list(product))
-    (args.out_dir / "provenance.json").write_text(
-        json.dumps(provenance.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    (args.out_dir / "result.json").write_text(
-        json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    (args.out_dir / "labeling.json").write_text(
-        json.dumps(labeling.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    emit_json(provenance.to_json_dict(), args.out_dir / "provenance.json")
+    emit_json(result.to_json_dict(), args.out_dir / "result.json")
+    emit_json(labeling.to_json_dict(), args.out_dir / "labeling.json")
     (args.out_dir / "corona.dot").write_text(to_dot(product, labeling))
     print(f"wrote corona.txt, provenance.json, result.json, labeling.json, corona.dot to {args.out_dir}/")
     return EX_OK

@@ -40,14 +40,15 @@ EX_RESOURCE = 3
 EX_INTERNAL = 4
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, out: str | None = None) -> None:
+def emit_json(payload: dict, out: str | Path | None = None) -> None:
+    """Write ``payload`` as indented, key-sorted JSON to ``out`` or stdout."""
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
@@ -87,7 +88,8 @@ def _read_pattern(path: str) -> MonoPattern:
 def _check_inputs_exist(args: argparse.Namespace) -> None:
     for attr in ("graph", "g1", "g2", "labeling", "pattern"):
         path = getattr(args, attr, None)
-        if path is not None and not Path(path).is_file():
+        # exists(), not is_file(): a pipe such as /dev/fd/63 is readable input
+        if path is not None and not Path(path).exists():
             raise FileNotFoundError(f"input file not found: {path}")
 
 
@@ -122,7 +124,7 @@ def _cmd_corona(args: argparse.Namespace) -> int:
     g2 = _read_graph(args.g2)
     product, provenance = edge_corona(g1, g2)
     Path(args.out_graph).write_text(write_edge_list(product))
-    _emit_json(provenance.to_json_dict(), args.out_provenance)
+    emit_json(provenance.to_json_dict(), args.out_provenance)
     if args.verbose:
         print(
             f"corona: {product.vertex_count} vertices, {product.edge_count} edges",
@@ -137,7 +139,7 @@ def _cmd_sparing(args: argparse.Namespace) -> int:
         result = sparing_bruteforce(graph, cap=args.cap, timeout_secs=args.timeout_secs)
     else:
         result = sparing_exact(graph, timeout_secs=args.timeout_secs)
-    _emit_json(result.to_json_dict())
+    emit_json(result.to_json_dict())
     if args.verbose:
         print(
             f"sparing number {result.value} via {result.method}, "
@@ -154,7 +156,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
         labeling = construct_weak_iasi(graph, pattern)
     else:
         _result, labeling = construct_optimal(graph, timeout_secs=args.timeout_secs)
-    _emit_json(labeling.to_json_dict(), args.out)
+    emit_json(labeling.to_json_dict(), args.out)
     return EX_OK
 
 
@@ -162,7 +164,7 @@ def _cmd_verify_labeling(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     labeling = _read_labeling(args.labeling)
     verdict = verify(graph, labeling)
-    _emit_json(verdict.to_json_dict())
+    emit_json(verdict.to_json_dict())
     return EX_OK
 
 
@@ -176,7 +178,7 @@ def _cmd_check_theorems(args: argparse.Namespace) -> int:
     )
     payload = report.to_json_dict()
     payload["elapsed_secs"] = time.monotonic() - start
-    _emit_json(payload, args.out)
+    emit_json(payload, args.out)
     if args.verbose:
         print(report.render_text(), file=sys.stderr, end="")
     return EX_OK if report.all_resolved else EX_RESOURCE
@@ -189,20 +191,21 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "corona": _cmd_corona,
-    "sparing": _cmd_sparing,
-    "label": _cmd_label,
-    "verify-labeling": _cmd_verify_labeling,
-    "check-theorems": _cmd_check_theorems,
-    "export-dot": _cmd_export_dot,
-}
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse without option prefixes, whose usage errors (its subcommands'
+    too) raise ValueError: ``run_reporting_errors`` prints one line, exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="weakiasi",
         description="Sparing numbers, weak set-indexer labelings, and the "
         "edge-corona theorem audit.",
@@ -210,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a family member as an edge list")
+    p.set_defaults(handler=_cmd_gen)
     p.add_argument("family", choices=list(FAMILIES) + ["random"])
     p.add_argument("params", type=int, nargs="+", help="family parameters")
     p.add_argument("--p", type=float, default=0.3, help="edge probability (random)")
@@ -217,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("corona", help="edge corona of two graphs")
+    p.set_defaults(handler=_cmd_corona)
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--out-graph", required=True)
@@ -224,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("sparing", help="exact sparing number of a graph")
+    p.set_defaults(handler=_cmd_sparing)
     p.add_argument("--graph", required=True)
     p.add_argument("--method", choices=["exact", "bruteforce"], default="exact")
     p.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_SECS)
@@ -231,16 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("label", help="construct a verified weak set-indexer")
+    p.set_defaults(handler=_cmd_label)
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", help="pattern JSON; default: solve for the optimum")
     p.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_SECS)
     p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("verify-labeling", help="check a labeling JSON against a graph")
+    p.set_defaults(handler=_cmd_verify_labeling)
     p.add_argument("--graph", required=True)
     p.add_argument("--labeling", required=True)
 
     p = sub.add_parser("check-theorems", help="audit a closed form against the oracle")
+    p.set_defaults(handler=_cmd_check_theorems)
     p.add_argument("--id", required=True, help=f"one of: {', '.join(THEOREM_IDS)}")
     p.add_argument("--m", help="range like 2..5 (family theorems)")
     p.add_argument("--n", help="range like 2..5")
@@ -249,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("export-dot", help="DOT rendering, optionally labeled")
+    p.set_defaults(handler=_cmd_export_dot)
     p.add_argument("--graph", required=True)
     p.add_argument("--labeling")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -271,11 +281,10 @@ def run_reporting_errors(action: Callable[[], int]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-
     def run() -> int:
+        args = build_parser().parse_args(argv)
         _check_inputs_exist(args)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
 
     return run_reporting_errors(run)
 

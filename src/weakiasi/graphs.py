@@ -88,10 +88,7 @@ class CoronaProvenance:
     copies: tuple[tuple[int, ...], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "base": list(self.base),
-            "copies": [list(copy) for copy in self.copies],
-        }
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------

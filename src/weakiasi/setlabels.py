@@ -12,7 +12,7 @@ never the implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .graphs import Graph
 
@@ -113,15 +113,7 @@ class IASIVerdict:
         return self.vertex_injective and self.edge_injective and self.weak_condition
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertex_injective": self.vertex_injective,
-            "edge_injective": self.edge_injective,
-            "weak_condition": self.weak_condition,
-            "is_weak_iasi": self.is_weak_iasi,
-            "mono_vertex_count": self.mono_vertex_count,
-            "mono_edge_count": self.mono_edge_count,
-            "first_violation": self.first_violation,
-        }
+        return {**vars(self), "is_weak_iasi": self.is_weak_iasi}
 
 
 def _require_total(g: Graph, f: VertexLabeling) -> None:
@@ -154,58 +146,45 @@ def count_mono_elements(g: Graph, f: VertexLabeling) -> tuple[int, int]:
     return mono_vertices, mono_edges
 
 
+def _first_repeat(labeled: Iterable[tuple[object, SetLabel]], message: str) -> str | None:
+    """``message`` filled with (earlier item, item, label) for the first label
+    seen twice, or None when all labels differ."""
+    seen: dict[tuple[int, ...], object] = {}
+    for item, label in labeled:
+        earlier = seen.setdefault(label.elements, item)
+        if earlier != item:
+            return message.format(earlier, item, label)
+    return None
+
+
 def verify(g: Graph, f: VertexLabeling) -> IASIVerdict:
     """Check vertex injectivity, edge injectivity, and the weak condition.
 
     All three are decided from the labels and their real sumsets.  The first
-    violation found (vertices in id order, then edges in canonical order) is
-    reported for diagnosis.
+    violation is reported for diagnosis: a repeated vertex label (in id
+    order), else a sumset of the wrong size, else a repeated sumset (both in
+    canonical edge order).
     """
     edge_labels = induced_edge_labels(g, f)
-
-    violations: list[str] = []
-
-    vertex_injective = True
-    seen_labels: dict[tuple[int, ...], int] = {}
-    for v in range(g.vertex_count):
-        key = f.labels[v].elements
-        if key in seen_labels:
-            vertex_injective = False
-            violations.append(
-                f"vertices {seen_labels[key]} and {v} share label {f.labels[v]}"
-            )
-            break
-        seen_labels[key] = v
-
-    weak_condition = True
+    vertex_repeat = _first_repeat(
+        ((v, f.labels[v]) for v in range(g.vertex_count)), "vertices {} and {} share label {}"
+    )
+    wrong_size = None
     for (u, v), label in edge_labels.items():
         expected = max(len(f.labels[u]), len(f.labels[v]))
         if len(label) != expected:
-            weak_condition = False
-            violations.append(
-                f"edge ({u}, {v}) sumset {label} has size {len(label)}, "
-                f"expected {expected}"
+            wrong_size = (
+                f"edge ({u}, {v}) sumset {label} has size {len(label)}, expected {expected}"
             )
             break
-
-    edge_injective = True
-    seen_edge_labels: dict[tuple[int, ...], tuple[int, int]] = {}
-    for edge, label in edge_labels.items():
-        key = label.elements
-        if key in seen_edge_labels:
-            edge_injective = False
-            violations.append(
-                f"edges {seen_edge_labels[key]} and {edge} share sumset {label}"
-            )
-            break
-        seen_edge_labels[key] = edge
+    edge_repeat = _first_repeat(edge_labels.items(), "edges {} and {} share sumset {}")
 
     mono_vertices, mono_edges = count_mono_elements(g, f)
     return IASIVerdict(
-        vertex_injective=vertex_injective,
-        edge_injective=edge_injective,
-        weak_condition=weak_condition,
+        vertex_injective=vertex_repeat is None,
+        edge_injective=edge_repeat is None,
+        weak_condition=wrong_size is None,
         mono_vertex_count=mono_vertices,
         mono_edge_count=mono_edges,
-        first_violation=violations[0] if violations else None,
+        first_violation=vertex_repeat or wrong_size or edge_repeat,
     )

@@ -84,13 +84,7 @@ class SparingResult:
     elapsed_secs: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": self.witness.to_json_dict(),
-            "method": self.method,
-            "explored": self.explored,
-            "elapsed_secs": self.elapsed_secs,
-        }
+        return {**vars(self), "witness": self.witness.to_json_dict()}
 
 
 def pattern_is_valid(g: Graph, p: MonoPattern) -> bool:
@@ -286,14 +280,14 @@ class _MaxWeightEngine:
 
 
 def _solve_max_weight(
-    g: Graph, weights: list[int], timeout_secs: float | None
+    g: Graph, weights: list[int], deadline: float | None
 ) -> tuple[int, int, int]:
     """(optimal weight, lex-min optimal members mask, nodes explored).
 
     Searches only the vertices of positive weight: the rest add nothing,
     and where they belong in a lex-min witness is the caller's choice.
     """
-    engine = _MaxWeightEngine(g.adjacency_masks(), weights, _deadline(timeout_secs))
+    engine = _MaxWeightEngine(g.adjacency_masks(), weights, deadline)
     positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
     try:
         best, members = engine.solve(positive)
@@ -310,11 +304,13 @@ def sparing_exact(
     """Exact sparing number with the same witness tie-break as brute force.
 
     A bipartite graph has value 0 and its witness is read off its 2-colouring
-    with no search, so ``explored`` is 0 and ``timeout_secs`` is ignored.
-    Otherwise raises SolverTimeout when the budget runs out and
-    ResourceLimitError when the search is too deep for the interpreter.
+    with no search, so ``explored`` is 0 and it never runs out of its budget;
+    a NaN ``timeout_secs`` is still rejected with ValueError.  Otherwise
+    raises SolverTimeout when the budget runs out and ResourceLimitError
+    when the search is too deep for the interpreter.
     """
     start = time.monotonic()
+    deadline = _deadline(timeout_secs)
     degrees = g.degrees()
     bipartite, colouring = is_bipartite(g)
     if bipartite:
@@ -322,7 +318,7 @@ def sparing_exact(
         chosen = sum(1 << v for v, d in enumerate(degrees) if d and colouring[v] == 0)
         best, explored = g.edge_count, 0
     else:
-        best, chosen, explored = _solve_max_weight(g, degrees, timeout_secs)
+        best, chosen, explored = _solve_max_weight(g, degrees, deadline)
     # Isolated vertices weigh nothing: those below the highest chosen vertex
     # make the witness lexicographically smaller, later ones only lengthen it.
     witness = (v for v in range(chosen.bit_length()) if chosen >> v & 1 or not degrees[v])
@@ -339,7 +335,7 @@ def max_independent_set(
     g: Graph, timeout_secs: float | None = DEFAULT_TIMEOUT_SECS
 ) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with the lex-min witness."""
-    size, members, _explored = _solve_max_weight(g, [1] * g.vertex_count, timeout_secs)
+    size, members, _explored = _solve_max_weight(g, [1] * g.vertex_count, _deadline(timeout_secs))
     return size, _mask_to_ids(members)
 
 
@@ -363,10 +359,7 @@ def odd_cycle_parity_check(n: int) -> bool:
             f"{n} vertices exceed the enumeration cap of {DEFAULT_BRUTE_CAP}"
         )
     g = cycle_graph(n)
-    adj = g.adjacency_masks()
-    for mask, _weight in _independent_sets(adj, [0] * n):
-        members = set(_mask_to_ids(mask))
-        mono = sum(1 for u, v in g.edges if u not in members and v not in members)
-        if mono % 2 != n % 2:
-            return False
-    return True
+    return all(
+        pattern_mono_edges(g, MonoPattern(frozenset(_mask_to_ids(mask)))) % 2 == n % 2
+        for mask, _weight in _independent_sets(g.adjacency_masks(), [0] * n)
+    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .graphs import (
@@ -174,6 +174,7 @@ class TheoremEntry:
     description: str
     evaluate: Callable[..., int]
     notes: tuple[str, ...] = ()
+    variant: Callable[..., int] | None = None  # a competing closed form: variant_value
     params: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -205,6 +206,7 @@ REGISTRY: dict[str, TheoremEntry] = {
                 "n_prime and phi2 are computed independently; no claim that one "
                 "labeling attains both simultaneously.",
             ),
+            ec_rs_variant,
         ),
         TheoremEntry("EC_PK", "path (m) corona complete (n)", _ec_pk),
         TheoremEntry("EC_CK", "cycle (m) corona complete (n)", _ec_ck),
@@ -268,18 +270,7 @@ class TheoremRow:
         return not self.unresolved and self.formula_value == self.oracle_value
 
     def to_json_dict(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "formula_value": self.formula_value,
-            "oracle_value": self.oracle_value,
-            "oracle_witness": (
-                None if self.oracle_witness is None else list(self.oracle_witness)
-            ),
-            "bruteforce_value": self.bruteforce_value,
-            "agree": self.agree,
-            "unresolved": self.unresolved,
-            "variant_value": self.variant_value,
-        }
+        return {**asdict(self), "agree": self.agree, "unresolved": self.unresolved}
 
 
 @dataclass
@@ -441,7 +432,7 @@ def _sparing_row(
     """
     args = {k: params[k] for k in entry.params}
     formula_value = entry.evaluate(**args)
-    variant = ec_rs_variant(**args) if entry.theorem_id == "EC_RS" else None
+    variant = None if entry.variant is None else entry.variant(**args)
     try:
         result = sparing_exact(graph, timeout_secs)
     except SolverTimeout:

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -109,6 +110,49 @@ def test_sparing_missing_file_exits_2(capsys):
     assert "not found" in err
 
 
+def test_sparing_reads_a_pipe(capsys):
+    r, w = os.pipe()
+    try:
+        os.write(w, b"5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+        os.close(w)
+        code, out, err = run(capsys, "sparing", "--graph", f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 1
+
+
+def test_sparing_directory_input_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "sparing", "--graph", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_usage_error_is_one_line(tmp_path, capsys):
+    g = write_graph(tmp_path, "c3.txt", "cycle", "3")
+    code, out, err = run(capsys, "corona", "--g1", g, "--g2", g, "--out", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_option_prefix_is_rejected(tmp_path, capsys):
+    g = write_graph(tmp_path, "c3.txt", "cycle", "3")
+    code, out, err = run(capsys, "sparing", "--graph", g, "--time", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: weakiasi: unrecognized arguments: --time 5\n"
+
+
+def test_subcommand_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sparing", "--help"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0
+    assert captured.out.startswith("usage: weakiasi sparing ")
+    assert captured.err == ""
+
+
 def test_sparing_cap_exceeded_exits_3(tmp_path, capsys):
     graph = write_graph(tmp_path, "big.txt", "random", "30", "--seed", "1")
     code, _, err = run(
@@ -176,11 +220,13 @@ def test_bruteforce_timeout_exits_3(tmp_path, capsys):
 
 
 def test_sparing_nan_timeout_exits_2(tmp_path, capsys):
-    graph = write_graph(tmp_path, "c5.txt", "cycle", "5")
-    for method in ("exact", "bruteforce"):
-        code, out, err = run(
-            capsys, "sparing", "--graph", graph, "--method", method, "--timeout-secs", "nan"
-        )
+    c5 = write_graph(tmp_path, "c5.txt", "cycle", "5")
+    p4 = write_graph(tmp_path, "p4.txt", "path", "4")
+    for argv in (
+        *(["sparing", "--graph", g, "--method", m] for g in (c5, p4) for m in ("exact", "bruteforce")),
+        ["label", "--graph", p4],
+    ):
+        code, out, err = run(capsys, *argv, "--timeout-secs", "nan")
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -530,6 +576,15 @@ def script_main(name):
 
 def audit_script_main():
     return script_main("audit_theorems")
+
+
+def test_audit_script_usage_error_is_one_line(capsys):
+    # --id is a prefix of --ids, which the shared parser rejects
+    code = audit_script_main()(["--id", "EC_PP"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -227,8 +227,9 @@ def test_timeout_message_reports_progress():
 
 def test_nan_time_budget_is_rejected():
     # a NaN deadline is never passed, so it would silently disable the timeout
-    with pytest.raises(ValueError, match="nan"):
-        sparing_exact(cycle_graph(5), timeout_secs=float("nan"))
+    for g in (cycle_graph(5), path_graph(4)):
+        with pytest.raises(ValueError, match="nan"):
+            sparing_exact(g, timeout_secs=float("nan"))
 
 
 def test_solver_equivalence_on_seeded_suite():
