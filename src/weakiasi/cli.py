@@ -74,15 +74,7 @@ def _read_labeling(path: str) -> VertexLabeling:
 
 
 def _read_pattern(path: str) -> MonoPattern:
-    data = _read_json(path)
-    if not isinstance(data, dict) or "non_mono" not in data:
-        raise ValueError('pattern JSON must be an object with "non_mono"')
-    ids = data["non_mono"]
-    if not isinstance(ids, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in ids
-    ):
-        raise ValueError('"non_mono" must be an array of vertex ids')
-    return MonoPattern(frozenset(ids))
+    return MonoPattern.from_json_dict(_read_json(path))
 
 
 def _check_inputs_exist(args: argparse.Namespace) -> None:

@@ -9,7 +9,7 @@ pairs are rejected, and every error carries its 1-based line number.
 from __future__ import annotations
 
 from .graphs import Graph
-from .setlabels import VertexLabeling
+from .setlabels import VertexLabeling, _require_total
 
 
 class EdgeListParseError(ValueError):
@@ -69,13 +69,15 @@ def write_edge_list(g: Graph) -> str:
 def to_dot(g: Graph, labeling: VertexLabeling | None = None) -> str:
     """DOT text for an undirected graph.
 
-    With a labeling, each vertex shows its label set and mono-indexed
-    vertices (singleton labels) are drawn filled.
+    With a labeling of exactly its vertices, each vertex shows its label
+    set and mono-indexed vertices (singleton labels) are drawn filled.
     """
+    if labeling is not None:
+        _require_total(g, labeling)
     lines = ["graph G {"]
     for v in range(g.vertex_count):
         attrs = [f'label="{v}"']
-        if labeling is not None and v in labeling.labels:
+        if labeling is not None:
             label = labeling.labels[v]
             attrs = [f'label="{v}: {label}"']
             if label.is_singleton:

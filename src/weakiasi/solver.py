@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .graphs import Graph, cycle_graph, is_bipartite
 
@@ -71,6 +71,15 @@ class MonoPattern:
 
     def to_json_dict(self) -> dict:
         return {"non_mono": list(self.sorted_ids())}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "MonoPattern":
+        if not isinstance(data, Mapping) or "non_mono" not in data:
+            raise ValueError('pattern JSON must be an object with "non_mono"')
+        ids = data["non_mono"]
+        if not isinstance(ids, list) or any(type(v) is not int for v in ids):
+            raise ValueError('"non_mono" must be an array of vertex ids')
+        return cls(frozenset(ids))
 
 
 @dataclass(frozen=True)
@@ -155,9 +164,11 @@ def sparing_bruteforce(
 
     Keeps the lexicographically smallest optimal non-mono set (strict
     improvement over a lex-ordered enumeration).  Refuses graphs larger
-    than ``cap`` vertices; reads the clock every 4,096 sets and raises
-    SolverTimeout once ``timeout_secs`` have passed.
+    than ``cap`` vertices (a negative cap is a ValueError); reads the clock
+    every 4,096 sets and raises SolverTimeout once ``timeout_secs`` have passed.
     """
+    if cap < 0:
+        raise ValueError(f"the brute-force cap must be non-negative, got {cap}")
     if g.vertex_count > cap:
         raise CapExceededError(
             f"{g.vertex_count} vertices exceed the brute-force cap of {cap}"

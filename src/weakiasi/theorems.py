@@ -3,18 +3,17 @@
 Each registry entry is a closed-form candidate for the sparing number of a
 graph family (edge coronas of paths, cycles, regular and complete graphs;
 complete graphs; unions; and the mono-edge count of the standard corona
-labeling).  ``check_theorem`` takes each id's rows from one generator, which
-instantiates the actual graphs and sets each closed-form value beside the
-exact optimum.  A factor or part that times out yields an unresolved row
-where it happens.  Notes live in the registry entry.  Oracle values are
-authoritative: a row where the closed form and the oracle differ is a
-finding, not a failure, and is never suppressed.  A row's verdict is read
-off its values, and an entry's parameter names off its closed form's
-signature.
+labeling).  ``check_theorem`` sets each closed-form value beside the exact
+optimum of the actual graph, one row per audit case; parameters a case does
+not know are solved by name, and a solve that times out leaves the row
+unresolved.  Oracle values are authoritative: a row where the closed form
+and the oracle differ is a finding, not a failure, and is never suppressed.
+Verdicts are read off a row's values, parameter names off the signature.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 from dataclasses import asdict, dataclass, field
@@ -342,7 +341,7 @@ class TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# Default instances
+# Audit cases
 # ---------------------------------------------------------------------------
 
 # r-regular building blocks for the regular-pair theorems.
@@ -356,83 +355,121 @@ _REGULAR_CATALOG: tuple[tuple[str, Graph], ...] = (
     ("K5", complete_graph(5)),
 )
 
-_SIMPLE_CORONA_FAMILIES: dict[str, tuple[Callable[[int], Graph], Callable[[int], Graph], Sequence[int], Sequence[int]]] = {
-    "EC_PP": (path_graph, path_graph, range(2, 6), range(2, 6)),
-    "EC_PC": (path_graph, cycle_graph, range(2, 6), range(3, 6)),
-    "EC_CP": (cycle_graph, path_graph, range(3, 6), range(2, 6)),
-    "EC_CC": (cycle_graph, cycle_graph, range(3, 6), range(3, 6)),
-    "EC_PK": (path_graph, complete_graph, range(2, 5), range(1, 5)),
-    "EC_CK": (cycle_graph, complete_graph, range(3, 6), range(1, 5)),
+
+def _corona_of(g1: Graph, g2: Graph) -> Graph:
+    return edge_corona(g1, g2)[0]
+
+
+def _grid_corona(make1: Callable, make2: Callable) -> Callable[[int, int], Graph]:
+    return lambda m, n: _corona_of(make1(m), make2(n))
+
+
+# The ids that take m/n ranges: (graph at a grid point, default ranges).
+_GRIDS: dict[str, tuple[Callable[..., Graph], dict[str, Sequence[int]]]] = {
+    "EC_PP": (_grid_corona(path_graph, path_graph), {"m": range(2, 6), "n": range(2, 6)}),
+    "EC_PC": (_grid_corona(path_graph, cycle_graph), {"m": range(2, 6), "n": range(3, 6)}),
+    "EC_CP": (_grid_corona(cycle_graph, path_graph), {"m": range(3, 6), "n": range(2, 6)}),
+    "EC_CC": (_grid_corona(cycle_graph, cycle_graph), {"m": range(3, 6), "n": range(3, 6)}),
+    "EC_PK": (_grid_corona(path_graph, complete_graph), {"m": range(2, 5), "n": range(1, 5)}),
+    "EC_CK": (_grid_corona(cycle_graph, complete_graph), {"m": range(3, 6), "n": range(1, 5)}),
+    "COMPLETE": (complete_graph, {"n": range(1, 9)}),
 }
 
-_CORONA_IDS = (*_SIMPLE_CORONA_FAMILIES, "EC_RR", "EC_RS", "EC_RK")
-
-def _corona_size(g1: Graph, g2: Graph) -> int:
-    return g1.vertex_count + g1.edge_count * g2.vertex_count
+_CORONA_IDS = ("EC_PP", "EC_PC", "EC_CP", "EC_CC", "EC_PK", "EC_CK", "EC_RR", "EC_RS", "EC_RK")
 
 
-def _corona_cases(
-    theorem_id: str,
-    m_values: Sequence[int] | None,
-    n_values: Sequence[int] | None,
-    max_vertices: int,
-) -> Iterator[tuple[dict, Graph, Graph]]:
-    """(row params, g1, g2) for every edge corona the audit of an id builds.
+def _cases(
+    theorem_id: str, ranges: dict[str, Sequence[int] | None], max_vertices: int
+) -> Iterator[tuple[dict, tuple[Graph, Graph] | None, Callable[[], Graph]]]:
+    """(params known up front, the two parts or None, the oracle graph's
+    builder) for every audit point of a sparing-row id, in report order.
 
-    The m/n ranges apply to the simple families, which ignore the vertex
-    cap; the regular-pair params omit the solver-derived factor stats.
+    A given range replaces a grid default; ``max_vertices`` bounds only the
+    EC_RR, EC_RS and EC_RK products.
     """
-    if theorem_id in _SIMPLE_CORONA_FAMILIES:
-        make1, make2, default_ms, default_ns = _SIMPLE_CORONA_FAMILIES[theorem_id]
-        for m in default_ms if m_values is None else m_values:
-            for n in default_ns if n_values is None else n_values:
-                yield {"m": m, "n": n}, make1(m), make2(n)
+    if theorem_id in _GRIDS:
+        build, defaults = _GRIDS[theorem_id]
+        axes = [defaults[k] if ranges.get(k) is None else ranges[k] for k in defaults]
+        for point in itertools.product(*axes):
+            params = dict(zip(defaults, point))
+            yield params, None, functools.partial(build, **params)
+        return
+    if theorem_id == "UNION":
+        shapes = [
+            ("one_point", a, b, a - 1) for a in range(2, 6) for b in range(2, 6)
+        ] + [("disjoint", a, b, a) for a in range(2, 5) for b in range(2, 5)]
+        for overlap, a, b, offset in shapes:
+            parts = complete_graph(a), shift_vertices(complete_graph(b), offset)
+            yield {"overlap": overlap, "a": a, "b": b}, parts, functools.partial(union, *parts)
         return
     for name1, g1 in _REGULAR_CATALOG:
         r = regularity(g1)
         if theorem_id == "EC_RK":
-            for n in range(r + 1, 5):
-                g2 = complete_graph(n)
-                if _corona_size(g1, g2) <= max_vertices:
-                    yield {"g1": name1, "r": r, "m": g1.vertex_count, "n": n}, g1, g2
-            continue
-        for name2, g2 in _REGULAR_CATALOG:
-            r2 = regularity(g2)
-            paired = (r == r2) if theorem_id == "EC_RR" else (r < r2)
-            if paired and _corona_size(g1, g2) <= max_vertices:
-                yield {"g1": name1, "g2": name2, "r": r}, g1, g2
+            second_factors = [
+                ({"g1": name1, "r": r, "m": g1.vertex_count, "n": n}, complete_graph(n))
+                for n in range(r + 1, 5)
+            ]
+        else:
+            second_factors = [
+                ({"g1": name1, "g2": name2, "r": r}, g2)
+                for name2, g2 in _REGULAR_CATALOG
+                if (r == regularity(g2) if theorem_id == "EC_RR" else r < regularity(g2))
+            ]
+        for params, g2 in second_factors:
+            if g1.vertex_count + g1.edge_count * g2.vertex_count <= max_vertices:
+                yield params, (g1, g2), functools.partial(_corona_of, g1, g2)
 
 
 def default_corona_instances() -> Iterator[tuple[str, dict, Graph]]:
-    """Every corona graph the default audit touches, with its row params.
+    """Every corona graph the default audit touches, with the params its
+    case knows before any solving (EC_RR and EC_RS: g1, g2 and r).
 
-    Useful for sweeps that want exactly the audited instances (for example,
-    labeling every one of them).  The default vertex cap bounds only the
-    EC_RR, EC_RS and EC_RK products; the six simple families (EC_PP ...
-    EC_CK) yield their default m/n grids whatever the cap.
+    For sweeps that want exactly the audited instances, such as labeling
+    each one.  The default vertex cap bounds only the EC_RR, EC_RS and
+    EC_RK products, not the six simple families' default m/n grids.
     """
     for theorem_id in _CORONA_IDS:
-        cases = _corona_cases(theorem_id, None, None, DEFAULT_AUDIT_VERTEX_CAP)
-        for params, g1, g2 in cases:
-            product, _prov = edge_corona(g1, g2)
-            yield theorem_id, params, product
+        for params, _parts, build in _cases(theorem_id, {}, DEFAULT_AUDIT_VERTEX_CAP):
+            yield theorem_id, params, build()
 
 
 # ---------------------------------------------------------------------------
 # The audit
 # ---------------------------------------------------------------------------
 
-def _sparing_row(
-    entry: TheoremEntry, params: dict, graph: Graph, timeout_secs: float | None
-) -> TheoremRow:
-    """The closed form at ``params`` against the exact sparing number of ``graph``.
+# How a closed-form parameter that a case does not know is found from the
+# case's two parts.  Lambdas, so each call looks the solver up afresh.
+_SOLVED_PARAMS: dict[str, Callable[[Graph, Graph, float | None], int]] = {
+    "m": lambda g1, g2, t: g1.vertex_count,
+    "n_prime": lambda g1, g2, t: min_mono_vertices(g2, t),
+    "phi1": lambda g1, g2, t: sparing_exact(g1, t).value,
+    "phi2": lambda g1, g2, t: sparing_exact(g2, t).value,
+    "phi_intersection": lambda g1, g2, t: sparing_exact(intersection(g1, g2), t).value,
+}
 
-    The closed form is evaluated first, so a parameter outside its domain
-    raises before any solving.
+
+def _sparing_row(
+    entry: TheoremEntry, known: dict, parts: tuple[Graph, Graph] | None,
+    build: Callable[[], Graph], timeout_secs: float | None,
+) -> TheoremRow:
+    """One audit case's closed form against the exact sparing number.
+
+    Closed-form parameters missing from ``known`` are solved from ``parts``
+    in signature order; a timeout there yields a row of ``known`` alone.
+    The closed form is evaluated before ``build`` runs, so a parameter
+    outside its domain raises the closed form's message, not the builder's.
     """
-    args = {k: params[k] for k in entry.params}
+    try:
+        args = {
+            name: known[name] if name in known else _SOLVED_PARAMS[name](*parts, timeout_secs)
+            for name in entry.params
+        }
+    except SolverTimeout:
+        return TheoremRow(known, None)
+    params = {k: v for k, v in known.items() if k not in args} | args
     formula_value = entry.evaluate(**args)
     variant = None if entry.variant is None else entry.variant(**args)
+    graph = build()
     try:
         result = sparing_exact(graph, timeout_secs)
     except SolverTimeout:
@@ -504,62 +541,6 @@ def _mono_count_rows(timeout_secs: float | None) -> Iterator[TheoremRow]:
         )
 
 
-def _audit_rows(
-    entry: TheoremEntry,
-    m_values: Sequence[int] | None,
-    n_values: Sequence[int] | None,
-    max_vertices: int,
-    timeout_secs: float | None,
-) -> Iterator[TheoremRow]:
-    """Every report row of one registry entry, in order.
-
-    A factor or part that times out yields a row with neither a closed-form
-    nor an oracle value, since the closed form's parameters are unknown.
-    """
-    theorem_id = entry.theorem_id
-    if theorem_id == "MONO_COUNT":
-        yield from _mono_count_rows(timeout_secs)
-        return
-    if theorem_id == "COMPLETE":
-        for n in range(1, 9) if n_values is None else n_values:
-            yield _sparing_row(entry, {"n": n}, complete_graph(n), timeout_secs)
-        return
-    if theorem_id == "UNION":
-        cases = [
-            ("one_point", a, b, a - 1) for a in range(2, 6) for b in range(2, 6)
-        ] + [("disjoint", a, b, a) for a in range(2, 5) for b in range(2, 5)]
-        for overlap, a, b, offset in cases:
-            g1 = complete_graph(a)
-            g2 = shift_vertices(complete_graph(b), offset)
-            names = {"overlap": overlap, "a": a, "b": b}
-            try:
-                phi1, phi2, phi_common = (
-                    sparing_exact(part, timeout_secs).value
-                    for part in (g1, g2, intersection(g1, g2))
-                )
-            except SolverTimeout:
-                yield TheoremRow(names, None)
-                continue
-            params = {**names, "phi1": phi1, "phi2": phi2, "phi_intersection": phi_common}
-            yield _sparing_row(entry, params, union(g1, g2), timeout_secs)
-        return
-    for params, g1, g2 in _corona_cases(theorem_id, m_values, n_values, max_vertices):
-        if theorem_id in ("EC_RR", "EC_RS"):
-            # the factors have at most 6 vertices, so each row solves its own
-            try:
-                n_prime = min_mono_vertices(g2, timeout_secs)
-                phi2 = sparing_exact(g2, timeout_secs).value
-            except SolverTimeout:
-                yield TheoremRow(params, None)
-                continue
-            params = dict(
-                g1=params["g1"], g2=params["g2"], m=g1.vertex_count, r=params["r"],
-                n_prime=n_prime, phi2=phi2,
-            )
-        product, _prov = edge_corona(g1, g2)
-        yield _sparing_row(entry, params, product, timeout_secs)
-
-
 def check_theorem(
     theorem_id: str,
     m_values: Sequence[int] | None = None,
@@ -570,22 +551,26 @@ def check_theorem(
 ) -> TheoremReport:
     """Audit one registry entry over its default (or given) parameter points.
 
-    One row generator per id yields the report's rows.  Every row holds the
-    closed-form value and the exact optimum; instances small enough for the
-    enumeration cap are recomputed by brute force, and any disagreement
-    between the two exact methods raises, since that would be a solver
-    defect rather than a finding.  ``max_vertices`` bounds only the EC_RR,
-    EC_RS and EC_RK products; the six simple corona families audit every
-    m/n point whatever the cap.
+    Every row holds the closed-form value and the exact optimum; instances
+    small enough for the enumeration cap are recomputed by brute force, and
+    a disagreement between the two exact methods raises (a solver defect,
+    not a finding).  ``m_values``/``n_values`` replace the default ranges of
+    the grid ids (m and n of the six simple corona families, n of COMPLETE);
+    any other range raises ValueError, and an out-of-domain point the
+    closed form's FormulaDomainError.  ``max_vertices`` bounds only the
+    EC_RR, EC_RS and EC_RK products.
     """
     entry = REGISTRY.get(theorem_id)
     if entry is None:
         raise UnknownTheoremError(theorem_id)
-    if theorem_id == "COMPLETE" and m_values is not None:
-        raise ValueError("COMPLETE only takes an n range")
-    if theorem_id not in (*_SIMPLE_CORONA_FAMILIES, "COMPLETE") and (
-        m_values is not None or n_values is not None
-    ):
-        raise ValueError(f"{theorem_id} does not take m/n range overrides")
-    rows = _audit_rows(entry, m_values, n_values, max_vertices, timeout_secs)
+    ranges = {"m": m_values, "n": n_values}
+    grid = _GRIDS.get(theorem_id, (None, {}))[1]
+    for name, values in ranges.items():
+        if values is not None and name not in grid:
+            raise ValueError(f"{theorem_id} takes no {name} range")
+    if theorem_id == "MONO_COUNT":
+        rows = _mono_count_rows(timeout_secs)
+    else:
+        cases = _cases(theorem_id, ranges, max_vertices)
+        rows = (_sparing_row(entry, *case, timeout_secs) for case in cases)
     return TheoremReport(theorem_id, entry.description, list(rows), list(entry.notes))

@@ -162,6 +162,16 @@ def test_sparing_cap_exceeded_exits_3(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_sparing_negative_cap_exits_2(tmp_path, capsys):
+    graph = write_graph(tmp_path, "p3.txt", "path", "3")
+    code, out, err = run(
+        capsys, "sparing", "--graph", graph, "--method", "bruteforce", "--cap", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the brute-force cap must be non-negative, got -1\n"
+
+
 def test_sparing_timeout_exits_3(tmp_path, capsys):
     g1 = write_graph(tmp_path, "c5.txt", "cycle", "5")
     out_graph = tmp_path / "cc.txt"
@@ -356,6 +366,25 @@ def test_label_pattern_with_repeated_key_exits_2(tmp_path, capsys):
     assert err == "error: duplicate JSON key 'non_mono'\n"
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("[0]", 'pattern JSON must be an object with "non_mono"'),
+        ('{"non_mono": [true]}', '"non_mono" must be an array of vertex ids'),
+    ],
+)
+def test_label_malformed_pattern_exits_2(text, message, tmp_path, capsys):
+    graph = write_graph(tmp_path, "k2.txt", "complete", "2")
+    pattern_path = tmp_path / "pattern.json"
+    pattern_path.write_text(text)
+    code, out, err = run(
+        capsys, "label", "--graph", graph, "--pattern", str(pattern_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_labeling_repeated_vertex_exits_2(tmp_path, capsys):
     graph = tmp_path / "k2.txt"
     graph.write_text("2\n0 1\n")
@@ -467,6 +496,13 @@ def test_check_theorems_ec_pp_contains_3_2_row(capsys):
     assert rows[(3, 2)]["oracle_value"] == 6
 
 
+def test_check_theorems_out_of_domain_range_reports_the_closed_form(capsys):
+    code, out, err = run(capsys, "check-theorems", "--id", "COMPLETE", "--n", "0..2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: COMPLETE needs n >= 1\n"
+
+
 def test_check_theorems_unknown_id_exits_2(capsys):
     code, _, err = run(capsys, "check-theorems", "--id", "NOPE")
     assert code == 2
@@ -505,6 +541,26 @@ def test_export_dot_with_labeling(tmp_path, capsys):
     )
     assert code == 0
     assert "style=filled" in out
+
+
+@pytest.mark.parametrize(
+    ("labels", "message"),
+    [
+        ('{"0": [1], "1": [2], "2": [4], "7": [8]}', "label for vertex 7, which"),
+        ('{"0": [1], "7": [2]}', "no label for vertex 1"),
+    ],
+)
+def test_export_dot_labeling_must_fit_the_graph(labels, message, tmp_path, capsys):
+    graph = write_graph(tmp_path, "p3.txt", "path", "3")
+    labeling_path = tmp_path / "labeling.json"
+    labeling_path.write_text(f'{{"vertex_labels": {labels}}}')
+    code, out, err = run(
+        capsys, "export-dot", "--graph", graph, "--labeling", str(labeling_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,11 @@ def test_bruteforce_cap():
     assert sparing_bruteforce(Graph(25), cap=25).value == 0
 
 
+def test_bruteforce_negative_cap_is_malformed():
+    with pytest.raises(ValueError, match="must be non-negative, got -1"):
+        sparing_bruteforce(path_graph(3), cap=-1)
+
+
 # ---------------------------------------------------------------------------
 # Exact solver
 # ---------------------------------------------------------------------------

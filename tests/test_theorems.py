@@ -156,9 +156,10 @@ def test_ec_rs_records_variant():
 def test_range_overrides():
     report = check_theorem("COMPLETE", n_values=[1, 2, 3])
     assert [row.params["n"] for row in report.rows] == [1, 2, 3]
-    with pytest.raises(ValueError):
+    assert check_theorem("EC_PP", m_values=[]).rows == []
+    with pytest.raises(ValueError, match="EC_RR takes no m range"):
         check_theorem("EC_RR", m_values=[2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="COMPLETE takes no m range"):
         check_theorem("COMPLETE", m_values=[2])
 
 
