@@ -19,9 +19,14 @@ Two exact methods are provided and must agree (value and witness):
   frontier-only breadth-first search that picks the branching vertex in the
   same pass and peeled off in a loop, and memoization of each component's
   optimum together with its lexicographically smallest optimal set, so the
-  witness comes out of the same search.  This is the only route that can
-  hit the interpreter's recursion limit: a search deeper than that (an odd
-  cycle of a few thousand vertices) raises ResourceLimitError.
+  witness comes out of the same search.  The search is fail-soft: a
+  branch that cannot beat the best value found so far only needs an upper
+  bound, and a greedy weighted clique cover (the standard bound for this
+  problem: Warren & Hicks 2006; Held, Cook & Sewell 2012) prunes it when
+  the cover fits below that value.  Paths and cycles are searched without
+  the bound.  This is the only route that can hit the interpreter's
+  recursion limit: a search deeper than that (an odd cycle of a few
+  thousand vertices) raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -151,9 +156,9 @@ def _mask_to_ids(mask: int) -> tuple[int, ...]:
 
 def _deadline(timeout_secs: float | None) -> float | None:
     """The clock reading at which a budget of ``timeout_secs`` runs out."""
-    if timeout_secs is not None and math.isnan(timeout_secs):
-        # no clock reading ever passes a NaN deadline
-        raise ValueError("time budget must be a number of seconds, not nan")
+    if timeout_secs is not None and not timeout_secs >= 0:
+        # no clock reading ever passes a NaN deadline; a negative one has passed
+        raise ValueError(f"time budget must be non-negative seconds, got {timeout_secs}")
     return None if timeout_secs is None else time.monotonic() + timeout_secs
 
 
@@ -204,11 +209,18 @@ class _MaxWeightEngine:
     """Maximum-weight independent set over bitmask states, with its witness.
 
     Branches include/exclude on a highest-degree available vertex; splits
-    available vertices into connected components first (their optima add);
-    memoizes each connected mask with its optimum and its lexicographically
-    smallest optimal set.  Every searched vertex must have positive weight,
-    which the tie-break relies on.  Raises RecursionError when the search
-    is deeper than the interpreter allows.
+    available vertices into connected components first (their optima add)
+    and bounds each component by a greedy weighted clique cover (``_cover``).
+    The search is fail-soft (see ``solve``) and keeps two memos of
+    connected masks: ``memo`` holds an optimum with its lexicographically
+    smallest optimal set, ``bounds`` an upper bound of a mask that failed
+    low.  A component whose pivot has at most two neighbours (a path or a
+    cycle) is searched exactly by ``_exact`` and never bounded: its
+    fail-low entries would be searched again at every higher cut-off, and
+    the cut-off bookkeeping would only slow its long searches.  Every
+    searched vertex must have positive weight, which the tie-break relies
+    on.  Raises RecursionError when the search is deeper than the
+    interpreter allows.
     """
 
     def __init__(self, adj: list[int], weights: list[int], deadline: float | None):
@@ -216,22 +228,107 @@ class _MaxWeightEngine:
         self.weights = weights
         self.deadline = deadline
         self.memo: dict[int, tuple[int, int]] = {}
+        self.bounds: dict[int, int] = {}
         self.explored = 0
 
     def progress(self) -> str:
-        return f"after {self.explored} nodes with {len(self.memo)} memoized states"
+        states = len(self.memo) + len(self.bounds)
+        return f"after {self.explored} nodes with {states} memoized states"
 
-    def solve(self, avail: int) -> tuple[int, int]:
-        """(maximum weight, lex-min optimal members mask) inside ``avail``.
+    def solve(self, avail: int, alpha: int = -1) -> tuple[int, int | None]:
+        """(value, members) for the maximum weight inside ``avail``.
+
+        Fail-soft: a members mask that is not None comes with the exact
+        optimum and is its lex-min optimal set; a None comes with an upper
+        bound, optimum <= value <= ``alpha``.  The result is exact whenever
+        the optimum exceeds ``alpha``, so ``alpha = -1`` always is.
 
         Each loop step takes the lowest connected component of ``avail``
-        and its pivot from one component search, branches include/exclude
-        on that pivot in this same frame unless the component is memoized,
-        and peels the component off.  So every branching level costs one
-        stack frame, the number of components does not deepen the
-        recursion, and no component is searched twice.  The lex-min optima
-        of disjoint components unite into the lex-min optimum of their
-        union, so only connected masks are memoized.
+        and its pivot from one component search.  Unless the component is
+        memoized, it gets the room ``alpha`` leaves beside the components
+        already solved and the cover of the rest (the cover is additive
+        over components), fails low if its bound fits that room, and else
+        is branched include/exclude on its pivot in this same frame; the
+        branches of a path or a cycle go to ``_exact``.
+        Exclude is searched with a cut-off just below an exact include, so
+        a tie comes back exact for the lowest-differing-vertex rule.  So
+        every branching level costs one stack frame and the number of
+        components does not deepen the recursion.  The lex-min optima of
+        disjoint components unite into the lex-min optimum of their union,
+        so only connected masks are memoized.
+        """
+        adj = self.adj
+        total = members = 0
+        while avail:
+            component = avail
+            part = self.memo.get(avail)
+            if part is None:
+                if total <= alpha:
+                    bound = self.bounds.get(avail)
+                    if bound is not None and total + bound <= alpha:
+                        # a connected mask that failed low before fails low again
+                        return total + bound, None
+                component, pivot = self._component(avail)
+                part = self.memo.get(component)
+            if part is None:
+                room = alpha - total
+                rest = 0
+                gated = (adj[pivot] & avail).bit_count() <= 2
+                if not gated and room >= 0:
+                    # the cover is additive over components, so the rest's cover
+                    # bounds what it adds; one stopped early leaves no room, and
+                    # a component without room never fails low to use it
+                    rest = self._cover(avail ^ component, room)
+                    room -= rest
+                    if room >= 0:
+                        bound = self.bounds.get(component)
+                        if bound is None:
+                            # a cover stopped early is no bound, only "does not fit"
+                            bound = self._cover(component, room)
+                            if bound <= room:
+                                self.bounds[component] = bound
+                        if bound <= room:
+                            return total + bound + rest, None
+                self.explored += 1
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
+                bit = 1 << pivot
+                weight = self.weights[pivot]
+                if gated:
+                    value, inside = self._exact(component & ~(adj[pivot] | bit))
+                    include = (weight + value, inside | bit)
+                    exclude = self._exact(component ^ bit)
+                else:
+                    value, inside = self.solve(component & ~(adj[pivot] | bit), room - weight)
+                    if inside is None:
+                        include = (weight + value, None)
+                        exclude = self.solve(component ^ bit, room)
+                    else:
+                        include = (weight + value, inside | bit)
+                        exclude = self.solve(component ^ bit, max(room, include[0] - 1))
+                if include[0] != exclude[0]:
+                    part = max(include, exclude)
+                elif include[1] is None or exclude[1] is None:
+                    part = (include[0], None)
+                else:
+                    # equal positive-weight optima never contain one another:
+                    # the lex-min one holds the lowest vertex where they differ
+                    differ = include[1] ^ exclude[1]
+                    part = include if include[1] & differ & -differ else exclude
+                if part[1] is None:
+                    self.bounds[component] = part[0]
+                    return total + part[0] + rest, None
+                self.memo[component] = part
+            total += part[0]
+            members |= part[1]
+            avail ^= component
+        return total, members
+
+    def _exact(self, avail: int) -> tuple[int, int]:
+        """(maximum weight, lex-min optimal members mask) inside ``avail``.
+
+        The search below a path or a cycle: ``solve``'s loop without cut-off
+        or bound, branching in the same frame, so its depth matches.
         """
         total = members = 0
         while avail:
@@ -245,12 +342,10 @@ class _MaxWeightEngine:
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
                 bit = 1 << pivot
-                rest, rest_members = self.solve(component & ~(self.adj[pivot] | bit))
+                rest, rest_members = self._exact(component & ~(self.adj[pivot] | bit))
                 include = (self.weights[pivot] + rest, rest_members | bit)
-                exclude = self.solve(component ^ bit)
+                exclude = self._exact(component ^ bit)
                 if include[0] == exclude[0]:
-                    # equal positive-weight optima never contain one another:
-                    # the lex-min one holds the lowest vertex where they differ
                     differ = include[1] ^ exclude[1]
                     part = include if include[1] & differ & -differ else exclude
                 else:
@@ -260,6 +355,36 @@ class _MaxWeightEngine:
             members |= part[1]
             avail ^= component
         return total, members
+
+    def _cover(self, mask: int, limit: float = math.inf) -> int:
+        """Weight of a greedy clique cover of ``mask``: an upper bound.
+
+        An independent set holds at most one vertex of each clique, so the
+        sum of each clique's heaviest weight bounds its weight.  Opens a
+        clique at the lowest uncovered vertex and grows it by the lowest
+        common neighbour.
+        Walks only the mask's own bits.  Stops early once the sum exceeds
+        ``limit``; that partial sum tells only that the cover does not fit.
+        """
+        adj, weights = self.adj, self.weights
+        total = 0
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            v = bit.bit_length() - 1
+            heaviest = weights[v]
+            common = adj[v] & mask
+            while common:
+                bit = common & -common
+                mask ^= bit
+                u = bit.bit_length() - 1
+                common &= adj[u]
+                if weights[u] > heaviest:
+                    heaviest = weights[u]
+            total += heaviest
+            if total > limit:
+                break
+        return total
 
     def _component(self, avail: int) -> tuple[int, int]:
         """(component, pivot) for the lowest available vertex.
@@ -316,7 +441,7 @@ def sparing_exact(
 
     A bipartite graph has value 0 and its witness is read off its 2-colouring
     with no search, so ``explored`` is 0 and it never runs out of its budget;
-    a NaN ``timeout_secs`` is still rejected with ValueError.  Otherwise
+    a NaN or negative ``timeout_secs`` is still rejected with ValueError.  Otherwise
     raises SolverTimeout when the budget runs out and ResourceLimitError
     when the search is too deep for the interpreter.
     """

@@ -242,6 +242,24 @@ def test_sparing_nan_timeout_exits_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_negative_timeout_exits_2(tmp_path, capsys):
+    # a budget that has run out before the start is malformed input, not a
+    # timeout, whether or not the input needs a search; 0 stays a budget
+    c5 = write_graph(tmp_path, "c5.txt", "cycle", "5")
+    p3 = write_graph(tmp_path, "p3.txt", "path", "3")
+    for argv in (
+        ["sparing", "--graph", c5, "--timeout-secs", "-5"],
+        ["sparing", "--graph", p3, "--timeout-secs", "-5"],
+        ["label", "--graph", c5, "--timeout-secs", "-1"],
+        ["check-theorems", "--id", "EC_CC", "--m", "3", "--n", "3", "--timeout-secs", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: time budget must be non-negative seconds, got " + argv[-1] + ".0\n"
+    code, _out, err = run(capsys, "sparing", "--graph", p3, "--timeout-secs", "0")
+    assert (code, err) == (0, "")
+
+
 def test_sparing_long_path_needs_no_search(tmp_path, capsys):
     graph = write_graph(tmp_path, "p3000.txt", "path", "3000")
     code, out, err = run(capsys, "sparing", "--graph", graph)

@@ -237,6 +237,16 @@ def test_nan_time_budget_is_rejected():
             sparing_exact(g, timeout_secs=float("nan"))
 
 
+def test_negative_time_budget_is_rejected():
+    # a negative budget has run out before the start: malformed, not a timeout
+    for g in (cycle_graph(5), path_graph(4)):
+        with pytest.raises(ValueError, match="non-negative"):
+            sparing_exact(g, timeout_secs=-1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        max_independent_set(cycle_graph(5), timeout_secs=-1.0)
+    assert sparing_exact(path_graph(4), timeout_secs=0.0).value == 0
+
+
 def test_solver_equivalence_on_seeded_suite():
     for g in seeded_graphs(25, max_vertices=12, seed=99):
         brute = sparing_bruteforce(g)
@@ -262,6 +272,22 @@ def naive_sparing(g):
             if key < (best_value, best_witness):
                 best_value, best_witness = mono, subset
     return best_value, best_witness
+
+
+def test_exact_matches_bruteforce_where_the_bound_prunes():
+    # denser graphs of 18-22 vertices, where masks fail low, unlike in the
+    # small graphs above
+    pruned = 0
+    for g in seeded_graphs(24, max_vertices=22, seed=7, min_vertices=18, p_choices=(0.3, 0.4, 0.5)):
+        brute = sparing_bruteforce(g)
+        exact = sparing_exact(g)
+        assert (exact.value, exact.witness) == (brute.value, brute.witness)
+        size, members = masked_optimum(g, [1] * g.vertex_count, (1 << g.vertex_count) - 1)
+        assert max_independent_set(g) == (size, solver._mask_to_ids(members))
+        engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
+        engine.solve(sum(1 << v for v, d in enumerate(g.degrees()) if d))
+        pruned += bool(engine.bounds)
+    assert pruned >= 20
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,6 +399,16 @@ def test_component_matches_rescanning_reference(g, mask):
     assert pivot == naive
 
 
+class CountingDict(dict):
+    """A memo that counts its stores."""
+
+    stores = 0
+
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
+
 @pytest.mark.parametrize(
     "g",
     [gnp_random_graph(60, 0.15, 1), disjoint_triangles(304)],
@@ -380,7 +416,8 @@ def test_component_matches_rescanning_reference(g, mask):
 )
 def test_no_component_is_walked_twice(g, monkeypatch):
     # each component is branched where the search finds it, never handed
-    # to a nested search that would walk it again
+    # to a nested search that would walk it again, and a mask that failed
+    # low and fails low again is answered from the bound memo unwalked
     returned = set()
     walked_again = []
     component_search = _MaxWeightEngine._component
@@ -394,10 +431,15 @@ def test_no_component_is_walked_twice(g, monkeypatch):
 
     monkeypatch.setattr(_MaxWeightEngine, "_component", recording)
     engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
+    engine.memo, engine.bounds = CountingDict(), CountingDict()
     engine.solve((1 << g.vertex_count) - 1)
     assert len(walked_again) == 0
-    # every search node is one memo miss that ends memoized
-    assert engine.explored == len(engine.memo)
+    # an exact component is stored once and never searched again; every
+    # search node ends in one of the two memos, and the bound memo also
+    # takes the covers that fit
+    assert engine.memo.stores == len(engine.memo)
+    assert len(engine.memo) <= engine.explored <= engine.memo.stores + engine.bounds.stores
+    assert set(engine.bounds) <= returned
 
 
 @pytest.mark.parametrize(
@@ -406,15 +448,88 @@ def test_no_component_is_walked_twice(g, monkeypatch):
         (path_graph(334), 0, 0),  # bipartite: answered without a search
         (cycle_graph(223), 1, 661),
         (disjoint_triangles(304), 304, 912),
-        (gnp_random_graph(60, 0.15, 1), 112, 9190),
+        (gnp_random_graph(60, 0.15, 1), 112, 2078),
+        (gnp_random_graph(80, 0.15, 1), 247, 7282),
     ],
-    ids=["path334", "cycle223", "triangles304", "gnp60"],
+    ids=["path334", "cycle223", "triangles304", "gnp60", "gnp80"],
 )
 def test_explored_node_counts_are_pinned(g, value, explored):
-    # one node per memoized connected component, found in a single search
-    # pass that carries each component's lex-min optimal set
+    # one node per branched connected component, found in a single search
+    # pass that carries each component's lex-min optimal set; paths, cycles
+    # and triangles are never bounded, so their trees are the unbounded ones
     result = sparing_exact(g, timeout_secs=None)
     assert (result.value, result.explored) == (value, explored)
+
+
+# ---------------------------------------------------------------------------
+# The clique-cover bound and the fail-soft contract
+# ---------------------------------------------------------------------------
+
+def masked_optimum(g, weights, mask):
+    """(weight, lex-min members mask) of a maximum independent set inside mask."""
+    best_mask, best_weight = 0, 0
+    for members, weight in _independent_sets(g.adjacency_masks(), weights):
+        if weight > best_weight and not members & ~mask:
+            best_mask, best_weight = members, weight
+    return best_weight, best_mask
+
+
+def engine_weights(g, unit_weights):
+    return [1] * g.vertex_count if unit_weights else g.degrees()
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=14), st.integers(min_value=0, max_value=(1 << 14) - 1), st.booleans())
+def test_cover_bounds_the_optimum(g, mask, unit_weights):
+    mask &= (1 << g.vertex_count) - 1
+    weights = engine_weights(g, unit_weights)
+    engine = _MaxWeightEngine(g.adjacency_masks(), weights, None)
+    cover = engine._cover(mask)
+    assert cover >= masked_optimum(g, weights, mask)[0]
+    # a cover stopped at a limit says only whether the full cover fits
+    for limit in range(-1, cover + 2):
+        partial = engine._cover(mask, limit)
+        assert (partial <= limit) == (cover <= limit)
+        assert partial == cover or partial > limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=14), st.integers(min_value=0, max_value=(1 << 14) - 1), st.booleans())
+# exclude fails low at include's value and may still tie it with a lex-smaller
+# set: the pair must fail low, not return include as exact
+@example(
+    Graph(10, ((0, 1), (0, 2), (0, 8), (0, 9), (1, 2), (1, 3), (1, 4), (1, 7), (1, 9), (2, 7),
+               (2, 8), (2, 9), (3, 5), (3, 6), (3, 7), (3, 8), (4, 6), (5, 7), (6, 9), (8, 9))),
+    959,
+    True,
+)
+def test_solve_keeps_the_fail_soft_contract(g, mask, unit_weights):
+    assert_fail_soft(g, engine_weights(g, unit_weights), mask)
+
+
+def test_solve_keeps_the_fail_soft_contract_on_a_seeded_suite():
+    # denser graphs than the strategy above tends to draw
+    for g in seeded_graphs(40, max_vertices=14, seed=5, min_vertices=8, p_choices=(0.3, 0.4, 0.5, 0.6)):
+        for unit_weights in (False, True):
+            assert_fail_soft(g, engine_weights(g, unit_weights), (1 << g.vertex_count) - 1)
+
+
+def assert_fail_soft(g, weights, mask):
+    # the engine searches only vertices of positive weight
+    mask &= sum(1 << v for v, w in enumerate(weights) if w > 0)
+    optimum = masked_optimum(g, weights, mask)
+    adj = g.adjacency_masks()
+    # a fresh engine per cut-off, and one whose memos stay warm from
+    # cut-offs met before, both ending exact at -1
+    warm = _MaxWeightEngine(adj, weights, None)
+    for alpha in [*range(optimum[0] + 2, -2, -1), *range(optimum[0] + 3)]:
+        for engine in (_MaxWeightEngine(adj, weights, None), warm):
+            value, members = engine.solve(mask, alpha)
+            if members is None:
+                assert optimum[0] <= value <= alpha
+            else:
+                assert (value, members) == optimum
+    assert warm.solve(mask) == optimum
 
 
 # ---------------------------------------------------------------------------
