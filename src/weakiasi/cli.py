@@ -144,8 +144,7 @@ def _cmd_sparing(args: argparse.Namespace) -> int:
 def _cmd_label(args: argparse.Namespace) -> int:
     graph = _read_graph(args.graph)
     if args.pattern:
-        pattern = _read_pattern(args.pattern)
-        labeling = construct_weak_iasi(graph, pattern)
+        labeling = construct_weak_iasi(graph, _read_pattern(args.pattern), args.timeout_secs)
     else:
         _result, labeling = construct_optimal(graph, timeout_secs=args.timeout_secs)
     emit_json(labeling.to_json_dict(), args.out)

@@ -13,6 +13,7 @@ caller handles.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -20,7 +21,9 @@ from .setlabels import SetLabel, VertexLabeling, verify
 from .solver import (
     DEFAULT_TIMEOUT_SECS,
     MonoPattern,
+    SolverTimeout,
     SparingResult,
+    _deadline,
     pattern_mono_edges,
     sparing_exact,
 )
@@ -50,16 +53,19 @@ class SidonSequence:
         return len(self.terms)
 
 
-def sidon(k: int) -> SidonSequence:
+def sidon(k: int, timeout_secs: float | None = None) -> SidonSequence:
     """First k terms of the greedy Sidon sequence 1, 2, 3, 5, 8, 13, ...
 
     A candidate d above every term collides only if d + t = a + b for terms
     t < a < b, that is d = b + (a - t).  So each accepted term b blocks
     ``gaps << b``, where ``gaps`` holds bit a - t for each pair of earlier
     terms, and the next term is the lowest clear bit of ``blocked`` above b.
+    That costs about k times the last term, so each accepted term reads the
+    clock, and SolverTimeout is raised once ``timeout_secs`` have passed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    deadline = _deadline(timeout_secs)
     terms: list[int] = []
     gaps = blocked = 0
     candidate = 1
@@ -69,6 +75,8 @@ def sidon(k: int) -> SidonSequence:
         terms.append(candidate)
         if len(terms) == k:
             return SidonSequence(tuple(terms))
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout(f"labeling exceeded its time budget at Sidon term {len(terms)}")
         blocked |= gaps << candidate
         new_gaps = bytearray(candidate // 8 + 1)
         for t in terms[:-1]:
@@ -78,12 +86,12 @@ def sidon(k: int) -> SidonSequence:
         candidate += 1
 
 
-def _build(g: Graph, p: MonoPattern) -> VertexLabeling:
+def _build(g: Graph, p: MonoPattern, timeout_secs: float | None) -> VertexLabeling:
     mono = [v for v in range(g.vertex_count) if v not in p.non_mono]
     labels: dict[int, SetLabel] = {}
     base = 0
     if mono:
-        terms = sidon(len(mono)).terms
+        terms = sidon(len(mono), timeout_secs).terms
         for v, term in zip(mono, terms):
             labels[v] = SetLabel((term,))
         base = terms[-1] + 1
@@ -92,15 +100,17 @@ def _build(g: Graph, p: MonoPattern) -> VertexLabeling:
     return VertexLabeling(labels)
 
 
-def construct_weak_iasi(g: Graph, p: MonoPattern) -> VertexLabeling:
+def construct_weak_iasi(
+    g: Graph, p: MonoPattern, timeout_secs: float | None = None
+) -> VertexLabeling:
     """A verified weak IASI whose mono edges are exactly the pattern's.
 
-    Deterministic for fixed input.  The labeling is built once and
-    certified; if certification fails, LabelingConstructionError names the
-    verifier's first violation.
+    Deterministic for fixed input.  The labeling is built within
+    ``timeout_secs`` (see ``sidon``) and certified once; if certification
+    fails, LabelingConstructionError names the verifier's first violation.
     """
     expected_mono_edges = pattern_mono_edges(g, p)
-    labeling = _build(g, p)
+    labeling = _build(g, p, timeout_secs)
     verdict = verify(g, labeling)
     if verdict.is_weak_iasi and verdict.mono_edge_count == expected_mono_edges:
         return labeling
@@ -116,7 +126,9 @@ def construct_weak_iasi(g: Graph, p: MonoPattern) -> VertexLabeling:
 def construct_optimal(
     g: Graph, timeout_secs: float | None = DEFAULT_TIMEOUT_SECS
 ) -> tuple[SparingResult, VertexLabeling]:
-    """Solve for the sparing number and realize its witness as a labeling."""
+    """Solve for the sparing number and realize its witness, in one budget."""
+    deadline = _deadline(timeout_secs)
     result = sparing_exact(g, timeout_secs)
-    labeling = construct_weak_iasi(g, result.witness)
+    remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+    labeling = construct_weak_iasi(g, result.witness, remaining)
     return result, labeling

@@ -14,19 +14,16 @@ Two exact methods are provided and must agree (value and witness):
 
 * ``sparing_exact`` answers a bipartite graph without a search (value 0,
   witness read off the 2-colouring ``is_bipartite`` returns) and solves any
-  other graph by branch-and-bound: include/exclude branching on a
-  highest-degree available vertex, connected components found by a
-  frontier-only breadth-first search that picks the branching vertex in the
-  same pass and peeled off in a loop, and memoization of each component's
-  optimum together with its lexicographically smallest optimal set, so the
-  witness comes out of the same search.  The search is fail-soft: a
+  other graph by branch-and-bound: it takes forced vertices without
+  branching (Lamm et al. 2019), branches include/exclude on a
+  highest-degree vertex of each connected component, and memoizes each
+  component's optimum with its lexicographically smallest optimal set, so
+  the witness comes out of the same search.  The search is fail-soft: a
   branch that cannot beat the best value found so far only needs an upper
-  bound, and a greedy weighted clique cover (the standard bound for this
-  problem: Warren & Hicks 2006; Held, Cook & Sewell 2012) prunes it when
-  the cover fits below that value.  Paths and cycles are searched without
-  the bound.  This is the only route that can hit the interpreter's
-  recursion limit: a search deeper than that (an odd cycle of a few
-  thousand vertices) raises ResourceLimitError.
+  bound, and a greedy weighted clique cover (Warren & Hicks 2006) prunes it
+  when the cover fits below that value.  This is the only route that can
+  hit the interpreter's recursion limit: a deeper search (the square of a
+  path of a few thousand vertices) raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class SolverTimeout(ResourceLimitError, TimeoutError):
-    """An exact route exceeded its time budget."""
+    """An exact route or the Sidon construction exceeded its time budget."""
 
 
 class CapExceededError(ResourceLimitError):
@@ -208,19 +205,16 @@ def sparing_bruteforce(
 class _MaxWeightEngine:
     """Maximum-weight independent set over bitmask states, with its witness.
 
-    Branches include/exclude on a highest-degree available vertex; splits
-    available vertices into connected components first (their optima add)
-    and bounds each component by a greedy weighted clique cover (``_cover``).
-    The search is fail-soft (see ``solve``) and keeps two memos of
-    connected masks: ``memo`` holds an optimum with its lexicographically
-    smallest optimal set, ``bounds`` an upper bound of a mask that failed
-    low.  A component whose pivot has at most two neighbours (a path or a
-    cycle) is searched exactly by ``_exact`` and never bounded: its
-    fail-low entries would be searched again at every higher cut-off, and
-    the cut-off bookkeeping would only slow its long searches.  Every
-    searched vertex must have positive weight, which the tie-break relies
-    on.  Raises RecursionError when the search is deeper than the
-    interpreter allows.
+    Takes forced vertices without branching (``_peel``), splits the rest
+    into connected components (their optima add), bounds each component by
+    a greedy weighted clique cover (``_cover``) and branches include/exclude
+    on its highest-degree vertex.  The search is fail-soft (see ``solve``)
+    and keeps two memos of connected masks: ``memo`` holds an optimum with
+    its lexicographically smallest optimal set, ``bounds`` an upper bound of
+    a mask that failed low and its pivot, so a search at a lower cut-off
+    does not walk it again.  Every searched vertex must have positive
+    weight, which the tie-break relies on.  Raises RecursionError when the
+    search is deeper than the interpreter allows.
     """
 
     def __init__(self, adj: list[int], weights: list[int], deadline: float | None):
@@ -228,14 +222,14 @@ class _MaxWeightEngine:
         self.weights = weights
         self.deadline = deadline
         self.memo: dict[int, tuple[int, int]] = {}
-        self.bounds: dict[int, int] = {}
+        self.bounds: dict[int, tuple[int, int]] = {}
         self.explored = 0
 
     def progress(self) -> str:
         states = len(self.memo) + len(self.bounds)
         return f"after {self.explored} nodes with {states} memoized states"
 
-    def solve(self, avail: int, alpha: int = -1) -> tuple[int, int | None]:
+    def solve(self, avail: int, alpha: int = -1, touched: int = -1) -> tuple[int, int | None]:
         """(value, members) for the maximum weight inside ``avail``.
 
         Fail-soft: a members mask that is not None comes with the exact
@@ -243,69 +237,66 @@ class _MaxWeightEngine:
         bound, optimum <= value <= ``alpha``.  The result is exact whenever
         the optimum exceeds ``alpha``, so ``alpha = -1`` always is.
 
-        Each loop step takes the lowest connected component of ``avail``
-        and its pivot from one component search.  Unless the component is
-        memoized, it gets the room ``alpha`` leaves beside the components
-        already solved and the cover of the rest (the cover is additive
-        over components), fails low if its bound fits that room, and else
-        is branched include/exclude on its pivot in this same frame; the
-        branches of a path or a cycle go to ``_exact``.
-        Exclude is searched with a cut-off just below an exact include, so
-        a tie comes back exact for the lowest-differing-vertex rule.  So
-        every branching level costs one stack frame and the number of
-        components does not deepen the recursion.  The lex-min optima of
-        disjoint components unite into the lex-min optimum of their union,
-        so only connected masks are memoized.
+        The forced vertices are taken first; only those of ``touched`` can
+        be forced on entry.  Each loop step then takes the lowest connected
+        component of the rest and its pivot from one component search.
+        Unless the component is memoized, it gets the room ``alpha`` leaves
+        beside the components already solved and the cover of the rest (the
+        cover is additive over components), fails low if its bound fits that
+        room, and else is branched include/exclude on its pivot in this same
+        frame.  Exclude is searched with a cut-off just below an exact
+        include, so a tie comes back exact for the lowest-differing-vertex
+        rule.  So every branching level costs one stack frame.  The lex-min
+        optima of disjoint components unite into the lex-min optimum of
+        their union, so only connected masks are memoized.
         """
         adj = self.adj
-        total = members = 0
+        avail, total, members = self._peel(avail, touched & avail)
         while avail:
             component = avail
             part = self.memo.get(avail)
             if part is None:
-                if total <= alpha:
-                    bound = self.bounds.get(avail)
-                    if bound is not None and total + bound <= alpha:
-                        # a connected mask that failed low before fails low again
-                        return total + bound, None
-                component, pivot = self._component(avail)
-                part = self.memo.get(component)
+                # a mask that failed low before is connected and keeps its pivot
+                known = self.bounds.get(avail)
+                if known is None:
+                    component, pivot = self._component(avail)
+                    part = self.memo.get(component)
+                    known = self.bounds.get(component)
+                else:
+                    pivot = known[1]
             if part is None:
                 room = alpha - total
                 rest = 0
-                gated = (adj[pivot] & avail).bit_count() <= 2
-                if not gated and room >= 0:
+                if room >= 0:
                     # the cover is additive over components, so the rest's cover
                     # bounds what it adds; one stopped early leaves no room, and
                     # a component without room never fails low to use it
                     rest = self._cover(avail ^ component, room)
                     room -= rest
                     if room >= 0:
-                        bound = self.bounds.get(component)
-                        if bound is None:
+                        if known is None:
                             # a cover stopped early is no bound, only "does not fit"
-                            bound = self._cover(component, room)
-                            if bound <= room:
-                                self.bounds[component] = bound
-                        if bound <= room:
-                            return total + bound + rest, None
+                            known = self._cover(component, room), pivot
+                            if known[0] <= room:
+                                self.bounds[component] = known
+                        if known[0] <= room:
+                            return total + known[0] + rest, None
                 self.explored += 1
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
                 bit = 1 << pivot
                 weight = self.weights[pivot]
-                if gated:
-                    value, inside = self._exact(component & ~(adj[pivot] | bit))
-                    include = (weight + value, inside | bit)
-                    exclude = self._exact(component ^ bit)
+                neighbours = adj[pivot] & component
+                ring = 0  # only the neighbours of removed vertices can become forced
+                for u in _mask_to_ids(neighbours):
+                    ring |= adj[u]
+                value, inside = self.solve(component & ~(neighbours | bit), room - weight, ring)
+                if inside is None:
+                    include = (weight + value, None)
+                    exclude = self.solve(component ^ bit, room, neighbours)
                 else:
-                    value, inside = self.solve(component & ~(adj[pivot] | bit), room - weight)
-                    if inside is None:
-                        include = (weight + value, None)
-                        exclude = self.solve(component ^ bit, room)
-                    else:
-                        include = (weight + value, inside | bit)
-                        exclude = self.solve(component ^ bit, max(room, include[0] - 1))
+                    include = (weight + value, inside | bit)
+                    exclude = self.solve(component ^ bit, max(room, include[0] - 1), neighbours)
                 if include[0] != exclude[0]:
                     part = max(include, exclude)
                 elif include[1] is None or exclude[1] is None:
@@ -316,7 +307,7 @@ class _MaxWeightEngine:
                     differ = include[1] ^ exclude[1]
                     part = include if include[1] & differ & -differ else exclude
                 if part[1] is None:
-                    self.bounds[component] = part[0]
+                    self.bounds[component] = part[0], pivot
                     return total + part[0] + rest, None
                 self.memo[component] = part
             total += part[0]
@@ -324,37 +315,35 @@ class _MaxWeightEngine:
             avail ^= component
         return total, members
 
-    def _exact(self, avail: int) -> tuple[int, int]:
-        """(maximum weight, lex-min optimal members mask) inside ``avail``.
+    def _peel(self, avail: int, touched: int) -> tuple[int, int, int]:
+        """(what is left of ``avail``, weight taken, members taken).
 
-        The search below a path or a cycle: ``solve``'s loop without cut-off
-        or bound, branching in the same frame, so its depth matches.
+        Takes every forced vertex v: one without a neighbour in ``avail``,
+        or with a single one u where w(v) > w(u), or w(v) = w(u) and v < u.
+        Such a v is in the lex-min optimum: swapping u for v never lowers
+        the weight, and on a tie the set holding the lower v wins.  Taking v
+        removes N[v], and only the available neighbours of the removed ones
+        are checked again, so a path peels in O(length) mask operations.
+        ``touched`` must hold every vertex that may be forced.
         """
+        adj, weights = self.adj, self.weights
         total = members = 0
-        while avail:
-            component = avail
-            part = self.memo.get(avail)
-            if part is None:
-                component, pivot = self._component(avail)
-                part = self.memo.get(component)
-            if part is None:
-                self.explored += 1
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
-                bit = 1 << pivot
-                rest, rest_members = self._exact(component & ~(self.adj[pivot] | bit))
-                include = (self.weights[pivot] + rest, rest_members | bit)
-                exclude = self._exact(component ^ bit)
-                if include[0] == exclude[0]:
-                    differ = include[1] ^ exclude[1]
-                    part = include if include[1] & differ & -differ else exclude
-                else:
-                    part = max(include, exclude)
-                self.memo[component] = part
-            total += part[0]
-            members |= part[1]
-            avail ^= component
-        return total, members
+        while touched:
+            bit = touched & -touched
+            touched ^= bit
+            v = bit.bit_length() - 1
+            near = adj[v] & avail
+            if near:
+                u = near.bit_length() - 1
+                # kept: a second neighbour, or u heavier, or as heavy and lower
+                if near != 1 << u or (weights[u], v) > (weights[v], u):
+                    continue
+                touched |= adj[u]
+            total += weights[v]
+            members |= bit
+            avail ^= near | bit
+            touched &= avail
+        return avail, total, members
 
     def _cover(self, mask: int, limit: float = math.inf) -> int:
         """Weight of a greedy clique cover of ``mask``: an upper bound.

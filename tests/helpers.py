@@ -32,6 +32,11 @@ def seeded_graphs(
     return suite
 
 
+def path_square(n: int) -> Graph:
+    """The square of the n-vertex path: edges i-i+1 and i-i+2."""
+    return Graph(n, tuple((i, j) for i in range(n) for j in (i + 1, i + 2) if j < n))
+
+
 @st.composite
 def graphs(draw, max_vertices: int = 10) -> Graph:
     n = draw(st.integers(min_value=0, max_value=max_vertices))

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ from weakiasi import (
     read_edge_list,
 )
 from weakiasi.cli import main
+from weakiasi.graph_io import write_edge_list
+
+from helpers import path_square
 
 
 def run(capsys, *argv):
@@ -197,7 +201,8 @@ def test_sparing_timeout_exits_3(tmp_path, capsys):
 
 @pytest.fixture
 def shallow_stack():
-    """Leave about 150 frames of stack: too few for a 1,001-cycle's search."""
+    """Leave about 150 frames of stack: too few for the search of the square
+    of a 600-vertex path, enough for that of a 400-vertex one."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     yield
@@ -205,13 +210,24 @@ def shallow_stack():
 
 
 def test_sparing_too_deep_exits_3(tmp_path, capsys, shallow_stack):
-    graph = write_graph(tmp_path, "c1001.txt", "cycle", "1001")
-    code, out, err = run(capsys, "sparing", "--graph", graph)
+    graph = tmp_path / "p600sq.txt"
+    graph.write_text(write_edge_list(path_square(600)))
+    code, out, err = run(capsys, "sparing", "--graph", str(graph))
     assert code == 3
     assert out == ""
     assert err.startswith("error: search exceeded the interpreter's recursion limit after ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_sparing_long_odd_cycle_solves(tmp_path, capsys):
+    # one branch leaves two paths, which forced vertices peel without a node
+    graph = write_graph(tmp_path, "c3001.txt", "cycle", "3001")
+    code, out, err = run(capsys, "sparing", "--graph", graph)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["value"], result["explored"]) == (1, 1)
+    assert result["witness"]["non_mono"] == list(range(0, 2999, 2))
 
 
 def test_bruteforce_timeout_exits_3(tmp_path, capsys):
@@ -247,10 +263,13 @@ def test_negative_timeout_exits_2(tmp_path, capsys):
     # timeout, whether or not the input needs a search; 0 stays a budget
     c5 = write_graph(tmp_path, "c5.txt", "cycle", "5")
     p3 = write_graph(tmp_path, "p3.txt", "path", "3")
+    pattern = tmp_path / "empty.json"
+    pattern.write_text('{"non_mono": []}')
     for argv in (
         ["sparing", "--graph", c5, "--timeout-secs", "-5"],
         ["sparing", "--graph", p3, "--timeout-secs", "-5"],
         ["label", "--graph", c5, "--timeout-secs", "-1"],
+        ["label", "--graph", c5, "--pattern", str(pattern), "--timeout-secs", "-1"],
         ["check-theorems", "--id", "EC_CC", "--m", "3", "--n", "3", "--timeout-secs", "-1"],
     ):
         code, out, err = run(capsys, *argv)
@@ -258,6 +277,21 @@ def test_negative_timeout_exits_2(tmp_path, capsys):
         assert err == "error: time budget must be non-negative seconds, got " + argv[-1] + ".0\n"
     code, _out, err = run(capsys, "sparing", "--graph", p3, "--timeout-secs", "0")
     assert (code, err) == (0, "")
+
+
+def test_label_timeout_covers_the_sidon_terms(tmp_path, capsys):
+    # a 4,000-vertex path solves at once, but its 2,000 mono vertices need
+    # Sidon terms that take about a minute without a budget
+    graph = write_graph(tmp_path, "p4000.txt", "path", "4000")
+    pattern = tmp_path / "odd.json"
+    pattern.write_text(json.dumps({"non_mono": list(range(1, 4000, 2))}))
+    for extra in ([], ["--pattern", str(pattern)]):
+        start = time.monotonic()
+        code, out, err = run(capsys, "label", "--graph", graph, "--timeout-secs", "0.5", *extra)
+        assert time.monotonic() - start < 10
+        assert (code, out) == (3, "")
+        assert err.startswith("error: labeling exceeded its time budget at Sidon term ")
+        assert err.count("\n") == 1
 
 
 def test_sparing_long_path_needs_no_search(tmp_path, capsys):

@@ -9,6 +9,7 @@ from weakiasi import (
     LabelingConstructionError,
     MonoPattern,
     SidonSequence,
+    SolverTimeout,
     complete_graph,
     construct_optimal,
     construct_weak_iasi,
@@ -95,6 +96,12 @@ def test_sidon_long_prefixes_are_pinned():
 # ---------------------------------------------------------------------------
 # Witness labelings
 # ---------------------------------------------------------------------------
+
+def test_sidon_runs_under_a_time_budget():
+    assert sidon(250, timeout_secs=60.0).terms == sidon(250).terms
+    with pytest.raises(SolverTimeout, match=r"^labeling exceeded its time budget at Sidon term \d+$"):
+        sidon(2000, timeout_secs=0.05)
+
 
 def test_all_mono_k2():
     g = path_graph(2)

@@ -99,7 +99,7 @@ def _verify_argv(kind):
 CLI_DIGESTS = {
     "sparing-exact": (
         ["sparing", "--graph", "{product}"],
-        "102fa498ca2f8b2ae8ead3ced7f7d12e690a1e5d7fb50f4aa9540a99a3033e4b",
+        "ae1c65d4a0caf1020d39e72fd77cee4fe85d11d22db7b7f0717bd5cdf91612b1",
     ),
     "sparing-bipartite": (
         ["sparing", "--graph", "{p4}"],

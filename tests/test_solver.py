@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from weakiasi import solver
 from weakiasi.graph_io import write_edge_list
 from weakiasi.solver import _MaxWeightEngine, _independent_sets
 
-from helpers import bipartite_graphs, graphs, seeded_graphs
+from helpers import bipartite_graphs, graphs, path_square, seeded_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,40 @@ def test_exact_matches_bruteforce_where_the_bound_prunes():
     assert pruned >= 20
 
 
+@pytest.mark.parametrize("n", range(3, 23))
+def test_path_square_matches_bruteforce(n):
+    g = path_square(n)
+    brute = sparing_bruteforce(g)
+    exact = sparing_exact(g)
+    assert (exact.value, exact.witness) == (brute.value, brute.witness)
+
+
+def pendant_heavy_graphs(count, seed):
+    """Sparse G(n, p <= .2), and random trees hung on an odd cycle under a
+    random relabelling, so forced vertices meet both sides of the v < u tie."""
+    suite = seeded_graphs(
+        count, max_vertices=18, seed=seed, min_vertices=6, p_choices=(0.1, 0.15, 0.2)
+    )
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice((3, 5, 7))
+        n = rng.randint(k + 3, 18)
+        label = rng.sample(range(n), n)
+        edges = [(i, (i + 1) % k) for i in range(k)] + [(rng.randrange(v), v) for v in range(k, n)]
+        suite.append(Graph(n, tuple((label[u], label[v]) for u, v in edges)))
+    return suite
+
+
+def test_forced_vertices_keep_value_and_witness():
+    for g in pendant_heavy_graphs(160, seed=11):
+        brute = sparing_bruteforce(g)
+        exact = sparing_exact(g)
+        assert (exact.value, exact.witness) == (brute.value, brute.witness)
+        # unit weights tie every pendant with its neighbour
+        size, members = masked_optimum(g, [1] * g.vertex_count, (1 << g.vertex_count) - 1)
+        assert max_independent_set(g) == (size, solver._mask_to_ids(members))
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_vertices=7))
 def test_reduction_soundness_against_naive_scan(g):
@@ -446,17 +481,18 @@ def test_no_component_is_walked_twice(g, monkeypatch):
     "g, value, explored",
     [
         (path_graph(334), 0, 0),  # bipartite: answered without a search
-        (cycle_graph(223), 1, 661),
-        (disjoint_triangles(304), 304, 912),
-        (gnp_random_graph(60, 0.15, 1), 112, 2078),
-        (gnp_random_graph(80, 0.15, 1), 247, 7282),
+        (cycle_graph(223), 1, 1),
+        (disjoint_triangles(304), 304, 304),
+        (gnp_random_graph(60, 0.15, 1), 112, 1222),
+        (gnp_random_graph(80, 0.15, 1), 247, 5060),
     ],
     ids=["path334", "cycle223", "triangles304", "gnp60", "gnp80"],
 )
 def test_explored_node_counts_are_pinned(g, value, explored):
     # one node per branched connected component, found in a single search
-    # pass that carries each component's lex-min optimal set; paths, cycles
-    # and triangles are never bounded, so their trees are the unbounded ones
+    # pass that carries each component's lex-min optimal set; forced
+    # vertices are taken without a node, so a cycle branches once and
+    # both paths left are peeled, and a triangle branches once
     result = sparing_exact(g, timeout_secs=None)
     assert (result.value, result.explored) == (value, explored)
 
