@@ -28,7 +28,12 @@ from weakiasi import (
 )
 from weakiasi import solver
 from weakiasi.graph_io import write_edge_list
-from weakiasi.solver import _MaxWeightEngine, _independent_sets
+from weakiasi.solver import (
+    _MaxWeightEngine,
+    _independent_sets,
+    _maximal_independent_sets,
+    sparing_maximal_sets,
+)
 
 from helpers import bipartite_graphs, graphs, path_square, seeded_graphs
 
@@ -283,6 +288,7 @@ def test_exact_matches_bruteforce_where_the_bound_prunes():
         brute = sparing_bruteforce(g)
         exact = sparing_exact(g)
         assert (exact.value, exact.witness) == (brute.value, brute.witness)
+        assert sparing_maximal_sets(g) == (brute.value, brute.witness)
         size, members = masked_optimum(g, [1] * g.vertex_count, (1 << g.vertex_count) - 1)
         assert max_independent_set(g) == (size, solver._mask_to_ids(members))
         engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
@@ -297,6 +303,59 @@ def test_path_square_matches_bruteforce(n):
     brute = sparing_bruteforce(g)
     exact = sparing_exact(g)
     assert (exact.value, exact.witness) == (brute.value, brute.witness)
+
+
+# ---------------------------------------------------------------------------
+# Maximal independent sets: the audit's cross-check
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=14))
+@example(Graph(0))
+@example(Graph(14))
+@example(complete_graph(1))
+@example(complete_graph(14))
+# a triangle on 1, 2, 3: isolated 0 lies below the witness and joins it,
+# isolated 4 lies above it and does not
+@example(Graph(5, ((1, 2), (1, 3), (2, 3))))
+# triangles 0-2-3 and 3-5-6 tie five optima; the lex-min {0, 5} takes the
+# isolated 1 and 4 between its vertices and leaves 7 out
+@example(Graph(8, ((0, 2), (2, 3), (0, 3), (3, 5), (5, 6), (6, 3))))
+def test_maximal_sets_match_bruteforce(g):
+    brute = sparing_bruteforce(g)
+    assert sparing_maximal_sets(g) == (brute.value, brute.witness)
+
+
+def assert_enumerates_maximal_sets(adj, weights):
+    """The enumerator yields, once each, exactly the independent sets of the
+    positive-weight vertices that no positive-weight vertex can extend."""
+    positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
+    expected = {
+        (mask, weight)
+        for mask, weight in _independent_sets(adj, weights)
+        if not mask & ~positive
+        and all(adj[u] & mask for u in solver._mask_to_ids(positive & ~mask))
+    }
+    found = list(_maximal_independent_sets(adj, weights))
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=10), st.lists(st.integers(0, 2), min_size=10, max_size=10))
+@example(Graph(0), [1] * 10)
+@example(Graph(4), [0, 1, 0, 2] + [0] * 6)
+@example(complete_graph(5), [2, 0, 2, 1, 0] + [0] * 5)
+def test_maximal_sets_are_the_unextendable_independent_sets(g, weights):
+    # zero weights also on vertices with neighbours: those stay out of every set
+    assert_enumerates_maximal_sets(g.adjacency_masks(), weights[: g.vertex_count])
+
+
+def test_maximal_sets_are_the_unextendable_independent_sets_on_a_seeded_suite():
+    # sparse graphs of 6-10 vertices, where a set whose only extension is an
+    # earlier sibling of the branch shows up
+    for g in seeded_graphs(300, max_vertices=10, seed=3, min_vertices=6, p_choices=(0.2, 0.3, 0.4)):
+        assert_enumerates_maximal_sets(g.adjacency_masks(), [1] * g.vertex_count)
 
 
 def pendant_heavy_graphs(count, seed):

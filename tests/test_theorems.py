@@ -1,17 +1,22 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from weakiasi import (
+    MonoPattern,
     FormulaDomainError,
     FormulaIntegralityError,
     THEOREM_IDS,
     UnknownTheoremError,
     check_theorem,
+    complete_graph,
     default_corona_instances,
     formula_eval,
+    pattern_mono_edges,
 )
+from weakiasi import theorems
 from weakiasi.theorems import TheoremRow, ec_rs_variant
 
 
@@ -175,6 +180,23 @@ def test_timeout_rows_marked_unresolved():
     for row in report.rows:
         assert row.oracle_value is None
         assert not row.agree
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        # K3 has three optima; {1} is one of them, but not the lex-min {0}
+        lambda result: dataclasses.replace(result, witness=MonoPattern({1})),
+        lambda result: dataclasses.replace(result, value=result.value + 1),
+    ],
+    ids=["other_optimal_witness", "wrong_value"],
+)
+def test_cross_check_catches_a_wrong_exact_result(monkeypatch, tamper):
+    assert pattern_mono_edges(complete_graph(3), MonoPattern({1})) == 1
+    real = theorems.sparing_exact
+    monkeypatch.setattr(theorems, "sparing_exact", lambda g, t: tamper(real(g, t)))
+    with pytest.raises(RuntimeError, match="solver defect"):
+        check_theorem("COMPLETE", n_values=[3])
 
 
 def test_row_verdicts_follow_the_oracle_value():
