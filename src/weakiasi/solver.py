@@ -133,18 +133,24 @@ def _independent_sets(adj: list[int], weights: list[int]) -> Iterator[tuple[int,
     set first, then every set starting with 0, and so on.  covered_weight is
     the sum of member weights, which for weights = degrees is exactly the
     number of edges covered by the set.
+
+    A popped frame (rest, set, weight) grows the set in place by the lowest
+    vertex of rest, then by that vertex's non-neighbours, and stacks each
+    exclude branch (the same set, rest less that vertex) only if non-empty.
     """
     yield 0, 0
     stack = [((1 << len(adj)) - 1, 0, 0)]
     while stack:
         rest, mask, weight = stack.pop()
-        if rest:
-            v = (rest & -rest).bit_length() - 1
-            rest ^= 1 << v
-            stack.append((rest, mask, weight))
-            mask, weight = mask | 1 << v, weight + weights[v]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if rest:
+                stack.append((rest, mask, weight))
+            v = bit.bit_length() - 1
+            mask, weight = mask | bit, weight + weights[v]
             yield mask, weight
-            stack.append((rest & ~adj[v], mask, weight))
+            rest &= ~adj[v]
 
 
 def _maximal_independent_sets(
@@ -158,8 +164,11 @@ def _maximal_independent_sets(
     still join it and the vertices X that joined a set already yielded from
     an earlier sibling.  It branches only on ``P & N[u]`` for the vertex u of
     ``P | X`` that makes this set smallest, since a maximal set missing all
-    of them would take u.  At most 3^(n/3) sets (Moon & Moser 1965).
+    of them would take u.  One bit loop over ``P | X`` finds u; it starts
+    from P and stops once the branch set holds at most one vertex.  At most
+    3^(n/3) sets (Moon & Moser 1965).
     """
+    closed = [a | 1 << v for v, a in enumerate(adj)]
     stack = [(0, 0, sum(1 << v for v, w in enumerate(weights) if w > 0), 0)]
     while stack:
         members, weight, candidates, excluded = stack.pop()
@@ -167,13 +176,18 @@ def _maximal_independent_sets(
             if not excluded:
                 yield members, weight
             continue
-        branch = min(
-            (candidates & (adj[u] | 1 << u) for u in _mask_to_ids(candidates | excluded)),
-            key=int.bit_count,
-        )
-        for v in _mask_to_ids(branch):
-            bit = 1 << v
-            keep = ~(adj[v] | bit)
+        branch, size, pool = candidates, candidates.bit_count(), candidates | excluded
+        while pool and size > 1:
+            bit = pool & -pool
+            pool ^= bit
+            trial = candidates & closed[bit.bit_length() - 1]
+            if trial.bit_count() < size:
+                branch, size = trial, trial.bit_count()
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            v = bit.bit_length() - 1
+            keep = ~closed[v]
             stack.append((members | bit, weight + weights[v], candidates & keep, excluded & keep))
             candidates ^= bit
             excluded |= bit
@@ -231,9 +245,7 @@ def sparing_bruteforce(
     total = g.edge_count
 
     best_mask, best_weight = 0, 0
-    explored = 0
-    for mask, weight in _independent_sets(adj, degrees):
-        explored += 1
+    for explored, (mask, weight) in enumerate(_independent_sets(adj, degrees), 1):
         if weight > best_weight:
             best_mask, best_weight = mask, weight
         if not explored & 4095 and deadline is not None and time.monotonic() > deadline:

@@ -243,6 +243,9 @@ def test_bruteforce_timeout_exits_3(tmp_path, capsys):
     assert err.startswith("error: enumeration exceeded its time budget after ")
     assert err.endswith(" sets\n")
     assert err.count("\n") == 1
+    # the clock is read every 4,096 sets
+    sets = int(err.removeprefix("error: enumeration exceeded its time budget after ").split()[0])
+    assert sets > 0 and sets % 4096 == 0
 
 
 def test_sparing_nan_timeout_exits_2(tmp_path, capsys):

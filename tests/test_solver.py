@@ -12,6 +12,7 @@ from weakiasi import (
     MonoPattern,
     SolverTimeout,
     cli,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     edge_corona,
@@ -131,6 +132,25 @@ def test_bruteforce_k4():
     assert result.witness.sorted_ids() == (0,)
     assert result.explored == 5
     assert result.method == "bruteforce"
+
+
+@pytest.mark.parametrize(
+    ("family", "n", "sets"),
+    [
+        # 2^n on the edgeless graph
+        ("edgeless", 0, 1), ("edgeless", 1, 2), ("edgeless", 9, 512), ("edgeless", 16, 65_536),
+        # the Fibonacci number F(n + 2) on the path P_n
+        ("path", 1, 2), ("path", 2, 3), ("path", 7, 34), ("path", 20, 17_711),
+        # the Lucas number L(n) on the cycle C_n
+        ("cycle", 3, 4), ("cycle", 4, 7), ("cycle", 11, 199), ("cycle", 20, 15_127),
+        # n + 1 on K_n
+        ("complete", 1, 2), ("complete", 5, 6), ("complete", 20, 21),
+    ],
+)
+def test_bruteforce_counts_every_independent_set_once(family, n, sets):
+    g = {"edgeless": Graph, "path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[family](n)
+    assert sparing_bruteforce(g).explored == sets
+    assert len(set(_independent_sets(g.adjacency_masks(), [1] * n))) == sets
 
 
 def test_bruteforce_even_cycle_is_zero():
@@ -358,6 +378,44 @@ def test_maximal_sets_are_the_unextendable_independent_sets_on_a_seeded_suite():
         assert_enumerates_maximal_sets(g.adjacency_masks(), [1] * g.vertex_count)
 
 
+def disjoint_triangles(k):
+    return Graph(
+        3 * k,
+        tuple((3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))),
+    )
+
+
+def assert_yields_maximal_sets_once(g, count):
+    """Unit weights: exactly ``count`` distinct sets, each independent and
+    dominating (so maximal)."""
+    adj = g.adjacency_masks()
+    everyone = (1 << g.vertex_count) - 1
+    found = [mask for mask, _weight in _maximal_independent_sets(adj, [1] * g.vertex_count)]
+    assert len(found) == len(set(found)) == count
+    for mask in found:
+        covered = mask
+        for v in solver._mask_to_ids(mask):
+            assert not adj[v] & mask
+            covered |= adj[v]
+        assert covered == everyone
+
+
+@pytest.mark.parametrize(
+    ("g", "sets"),
+    [
+        # the Perrin number P(n) on the cycle C_n
+        *(pytest.param(cycle_graph(n), sets, id=f"C{n}")
+          for n, sets in ((3, 3), (4, 2), (5, 5), (10, 17), (20, 277), (40, 76_725))),
+        # 3^k on k disjoint triangles: one vertex from each
+        *(pytest.param(disjoint_triangles(k), 3 ** k, id=f"{k}K3") for k in (1, 2, 5)),
+        # 2 on K_{a,b}: one whole side or the other
+        *(pytest.param(complete_bipartite_graph(a, b), 2, id=f"K{a},{b}") for a, b in ((1, 1), (2, 5), (7, 3))),
+    ],
+)
+def test_maximal_set_counts_in_closed_form(g, sets):
+    assert_yields_maximal_sets_once(g, sets)
+
+
 def pendant_heavy_graphs(count, seed):
     """Sparse G(n, p <= .2), and random trees hung on an odd cycle under a
     random relabelling, so forced vertices meet both sides of the v < u tie."""
@@ -438,13 +496,6 @@ def test_bipartite_inputs_build_no_engine(monkeypatch):
 # ---------------------------------------------------------------------------
 # Component search and its cost
 # ---------------------------------------------------------------------------
-
-def disjoint_triangles(k):
-    return Graph(
-        3 * k,
-        tuple((3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))),
-    )
-
 
 def test_many_components_solve_without_recursion(tmp_path, capsys):
     g = disjoint_triangles(1100)
