@@ -25,10 +25,11 @@ Three exact methods are provided and must agree (value and witness):
   component's optimum with its lexicographically smallest optimal set, so
   the witness comes out of the same search.  The search is fail-soft: a
   branch that cannot beat the best value found so far only needs an upper
-  bound, and a greedy weighted clique cover (Warren & Hicks 2006) prunes it
-  when the cover fits below that value.  This is the only route that can
-  hit the interpreter's recursion limit: a deeper search (the square of a
-  path of a few thousand vertices) raises ResourceLimitError.
+  bound, and a greedy clique cover that splits each vertex's weight over
+  the cliques holding it (Warren & Hicks 2006) prunes it when the cover
+  fits below that value.  This is the only route that can hit the
+  interpreter's recursion limit: a deeper search (the square of a path of a
+  few thousand vertices) raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -287,14 +288,14 @@ class _MaxWeightEngine:
 
     Takes forced vertices without branching (``_peel``), splits the rest
     into connected components (their optima add), bounds each component by
-    a greedy weighted clique cover (``_cover``) and branches include/exclude
-    on its highest-degree vertex.  The search is fail-soft (see ``solve``)
-    and keeps two memos of connected masks: ``memo`` holds an optimum with
-    its lexicographically smallest optimal set, ``bounds`` an upper bound of
-    a mask that failed low and its pivot, so a search at a lower cut-off
-    does not walk it again.  Every searched vertex must have positive
-    weight, which the tie-break relies on.  Raises RecursionError when the
-    search is deeper than the interpreter allows.
+    a greedy weight-splitting clique cover (``_cover``) and branches
+    include/exclude on its highest-degree vertex.  The search is fail-soft
+    (see ``solve``) and keeps two memos of connected masks: ``memo`` holds
+    an optimum with its lexicographically smallest optimal set, ``bounds``
+    an upper bound of a mask that failed low and its pivot, so a search at
+    a lower cut-off does not walk it again.  Every searched vertex must have
+    positive weight, which the tie-break relies on.  Raises RecursionError
+    when the search is deeper than the interpreter allows.
     """
 
     def __init__(self, adj: list[int], weights: list[int], deadline: float | None):
@@ -426,31 +427,37 @@ class _MaxWeightEngine:
         return avail, total, members
 
     def _cover(self, mask: int, limit: float = math.inf) -> int:
-        """Weight of a greedy clique cover of ``mask``: an upper bound.
+        """Weight of a greedy weight-splitting clique cover of ``mask``: an
+        upper bound (Warren & Hicks 2006).
 
-        An independent set holds at most one vertex of each clique, so the
-        sum of each clique's heaviest weight bounds its weight.  Opens a
-        clique at the lowest uncovered vertex and grows it by the lowest
-        common neighbour.
-        Walks only the mask's own bits.  Stops early once the sum exceeds
-        ``limit``; that partial sum tells only that the cover does not fit.
+        Opens a clique at the lowest vertex v left in the mask and grows it
+        by the lowest common neighbour.  The clique costs v's residual
+        weight, which every member pays off its own: one paid in full
+        leaves the mask, a heavier one stays with what is left.  Each
+        vertex is paid in full by its cliques, and an independent set meets
+        a clique at most once.  With unit weights every member leaves.
+        Stops early once the sum exceeds ``limit``; that partial sum tells
+        only that the cover does not fit.
         """
         adj, weights = self.adj, self.weights
+        residual: dict[int, int] = {}  # only the vertices cut down so far
         total = 0
         while mask:
             bit = mask & -mask
             mask ^= bit
             v = bit.bit_length() - 1
-            heaviest = weights[v]
+            share = residual.get(v, weights[v])
             common = adj[v] & mask
             while common:
                 bit = common & -common
-                mask ^= bit
                 u = bit.bit_length() - 1
                 common &= adj[u]
-                if weights[u] > heaviest:
-                    heaviest = weights[u]
-            total += heaviest
+                left = residual.get(u, weights[u]) - share
+                if left > 0:
+                    residual[u] = left
+                else:
+                    mask ^= bit
+            total += share
             if total > limit:
                 break
         return total
