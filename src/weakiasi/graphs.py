@@ -221,19 +221,14 @@ def edge_corona(g1: Graph, g2: Graph) -> tuple[Graph, CoronaProvenance]:
 
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
-    """2-colorability check with a certificate.
+    """2-colorability check.
 
-    Returns (True, coloring) where coloring[v] is 0 or 1, or
-    (False, odd_cycle) where odd_cycle lists the vertices of an odd cycle in
-    order (consecutive vertices adjacent, last adjacent to first).
-
-    Components are colored by BFS from their smallest vertex, which gets
-    color 0; isolated vertices get color 0.
+    Returns (True, coloring) where coloring[v] is 0 or 1, or (False, [])
+    when g has an odd cycle.  Components are colored by BFS from their
+    smallest vertex, which gets color 0; isolated vertices get color 0.
     """
     adj = g.adjacency()
     color = [-1] * g.vertex_count
-    parent = [-1] * g.vertex_count
-    depth = [0] * g.vertex_count
     for root in range(g.vertex_count):
         if color[root] != -1:
             continue
@@ -241,33 +236,13 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in sorted(adj[u]):
+            for v in adj[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
                     queue.append(v)
                 elif color[v] == color[u]:
-                    return False, _odd_cycle(u, v, parent, depth)
+                    return False, []
     return True, color
-
-
-def _odd_cycle(u: int, v: int, parent: list[int], depth: list[int]) -> list[int]:
-    """Cycle through the BFS-tree paths of u and v plus the edge (u, v)."""
-    path_u, path_v = [u], [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        path_u.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        path_v.append(b)
-    while a != b:
-        a, b = parent[a], parent[b]
-        path_u.append(a)
-        path_v.append(b)
-    # path_u ends at the common ancestor; walk back down the v side.
-    return path_u + path_v[-2::-1]
 
 
 def regularity(g: Graph) -> int | None:

@@ -5,14 +5,15 @@ integers.  The induced edge label is the sumset of the endpoint labels.  A
 labeling is a weak IASI when vertex labels are pairwise distinct, induced
 edge labels are pairwise distinct, and every edge's sumset is exactly as
 large as its bigger endpoint label.  Verification always computes the real
-sumsets; the endpoint-cardinality shortcut is a theorem under test here,
-never the implementation.
+sumsets, each edge's exactly once per call, as sorted element tuples from
+the same helper as ``sumset``; the endpoint-cardinality shortcut is a
+theorem under test here, never the implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph
 
@@ -53,9 +54,14 @@ class SetLabel:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
 
 
+def _sums(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The distinct pairwise sums x + y, x in a, y in b, sorted."""
+    return tuple(sorted({x + y for x in a for y in b}))
+
+
 def sumset(a: SetLabel, b: SetLabel) -> SetLabel:
     """All pairwise sums {x + y : x in a, y in b}."""
-    return SetLabel(tuple({x + y for x in a.elements for y in b.elements}))
+    return SetLabel(_sums(a.elements, b.elements))
 
 
 @dataclass(frozen=True)
@@ -133,53 +139,62 @@ def induced_edge_labels(g: Graph, f: VertexLabeling) -> dict[tuple[int, int], Se
     return {(u, v): sumset(f.labels[u], f.labels[v]) for u, v in g.edges}
 
 
-def count_mono_elements(g: Graph, f: VertexLabeling) -> tuple[int, int]:
+def count_mono_elements(
+    g: Graph, f: VertexLabeling, edge_sums: Sequence[tuple[int, ...]] | None = None
+) -> tuple[int, int]:
     """(mono vertices, mono edges): elements whose label is a singleton.
 
-    Edge counts come from the actual induced sumsets.
+    Edge counts come from the actual induced sumsets: ``edge_sums`` when
+    given (one sorted element tuple per edge of ``g``, as ``verify`` builds
+    them for a total labeling), else computed here from ``f``.
     """
-    edge_labels = induced_edge_labels(g, f)
+    if edge_sums is None:
+        edge_sums = [label.elements for label in induced_edge_labels(g, f).values()]
     mono_vertices = sum(
         1 for v in range(g.vertex_count) if f.labels[v].is_singleton
     )
-    mono_edges = sum(1 for label in edge_labels.values() if label.is_singleton)
+    mono_edges = sum(1 for sums in edge_sums if len(sums) == 1)
     return mono_vertices, mono_edges
 
 
-def _first_repeat(labeled: Iterable[tuple[object, SetLabel]], message: str) -> str | None:
-    """``message`` filled with (earlier item, item, label) for the first label
-    seen twice, or None when all labels differ."""
+def _first_repeat(
+    labeled: Iterable[tuple[object, tuple[int, ...]]], message: str
+) -> str | None:
+    """``message`` filled with (earlier item, item, label) for the first
+    element tuple seen twice, or None when all differ."""
     seen: dict[tuple[int, ...], object] = {}
-    for item, label in labeled:
-        earlier = seen.setdefault(label.elements, item)
+    for item, elements in labeled:
+        earlier = seen.setdefault(elements, item)
         if earlier != item:
-            return message.format(earlier, item, label)
+            return message.format(earlier, item, SetLabel(elements))
     return None
 
 
 def verify(g: Graph, f: VertexLabeling) -> IASIVerdict:
     """Check vertex injectivity, edge injectivity, and the weak condition.
 
-    All three are decided from the labels and their real sumsets.  The first
+    All three are decided from the labels and their real sumsets, each
+    edge's computed once and shared with ``count_mono_elements``.  The first
     violation is reported for diagnosis: a repeated vertex label (in id
     order), else a sumset of the wrong size, else a repeated sumset (both in
     canonical edge order).
     """
-    edge_labels = induced_edge_labels(g, f)
-    vertex_repeat = _first_repeat(
-        ((v, f.labels[v]) for v in range(g.vertex_count)), "vertices {} and {} share label {}"
-    )
+    _require_total(g, f)
+    labels = [f.labels[v].elements for v in range(g.vertex_count)]
+    edge_sums = [_sums(labels[u], labels[v]) for u, v in g.edges]
+    vertex_repeat = _first_repeat(enumerate(labels), "vertices {} and {} share label {}")
     wrong_size = None
-    for (u, v), label in edge_labels.items():
-        expected = max(len(f.labels[u]), len(f.labels[v]))
-        if len(label) != expected:
+    for (u, v), sums in zip(g.edges, edge_sums):
+        expected = max(len(labels[u]), len(labels[v]))
+        if len(sums) != expected:
             wrong_size = (
-                f"edge ({u}, {v}) sumset {label} has size {len(label)}, expected {expected}"
+                f"edge ({u}, {v}) sumset {SetLabel(sums)} has size {len(sums)}, "
+                f"expected {expected}"
             )
             break
-    edge_repeat = _first_repeat(edge_labels.items(), "edges {} and {} share sumset {}")
+    edge_repeat = _first_repeat(zip(g.edges, edge_sums), "edges {} and {} share sumset {}")
 
-    mono_vertices, mono_edges = count_mono_elements(g, f)
+    mono_vertices, mono_edges = count_mono_elements(g, f, edge_sums)
     return IASIVerdict(
         vertex_injective=vertex_repeat is None,
         edge_injective=edge_repeat is None,

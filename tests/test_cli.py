@@ -108,6 +108,14 @@ def test_sparing_malformed_input_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_sparing_non_ascii_decimal_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1_0\n0 1\n2 +3\n4 \u0665\n", encoding="utf-8")
+    code, out, err = run(capsys, "sparing", "--graph", str(bad))
+    assert (code, out) == (2, "")
+    assert "line 1: expected vertex count" in err
+
+
 def test_sparing_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "sparing", "--graph", "/nonexistent/g.txt")
     assert code == 2

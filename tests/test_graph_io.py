@@ -74,6 +74,25 @@ def test_non_integer_endpoint():
         read_edge_list("3\n0 x")
 
 
+@pytest.mark.parametrize("text", ["1_0\n0 1", "+3\n0 1", "\u0665\n0 1"])
+def test_vertex_count_is_an_ascii_decimal(text):
+    with pytest.raises(EdgeListParseError, match="line 1: expected vertex count"):
+        read_edge_list(text)
+
+
+@pytest.mark.parametrize("edge", ["1_0 11", "2 +3", "4 \u0665"])
+def test_endpoints_are_ascii_decimals(edge):
+    with pytest.raises(EdgeListParseError, match="line 2: non-integer endpoint"):
+        read_edge_list(f"12\n{edge}")
+
+
+def test_negative_values_keep_their_messages():
+    with pytest.raises(EdgeListParseError, match="line 1: vertex count must be non-negative"):
+        read_edge_list("-3\n")
+    with pytest.raises(EdgeListParseError, match="line 2: edge -1 2 out of range"):
+        read_edge_list("3\n-1 2")
+
+
 def test_empty_input_rejected():
     with pytest.raises(EdgeListParseError, match="empty input"):
         read_edge_list("# only a comment\n")

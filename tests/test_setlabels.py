@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from weakiasi import (
     Graph,
+    IASIVerdict,
     MissingLabelError,
     SetLabel,
     VertexLabeling,
@@ -14,6 +15,7 @@ from weakiasi import (
     sumset,
     verify,
 )
+from weakiasi import setlabels
 
 from helpers import graphs, set_labels
 
@@ -199,6 +201,155 @@ def test_weak_labelings_have_independent_non_mono(g, data):
     assert verdict.mono_edge_count == expected
     assert verdict.mono_edge_count <= g.edge_count
     assert verdict.mono_vertex_count <= g.vertex_count
+
+
+# ---------------------------------------------------------------------------
+# One-pass verify against the two-pass reference
+# ---------------------------------------------------------------------------
+
+def reference_verify(g, f):
+    """Two-pass verifier: every sumset from ``induced_edge_labels``, and again
+    inside the two-argument ``count_mono_elements``."""
+
+    def first_repeat(labeled, message):
+        seen = {}
+        for item, label in labeled:
+            earlier = seen.setdefault(label.elements, item)
+            if earlier != item:
+                return message.format(earlier, item, label)
+        return None
+
+    edge_labels = induced_edge_labels(g, f)
+    vertex_repeat = first_repeat(
+        ((v, f.labels[v]) for v in range(g.vertex_count)), "vertices {} and {} share label {}"
+    )
+    wrong_size = None
+    for (u, v), label in edge_labels.items():
+        expected = max(len(f.labels[u]), len(f.labels[v]))
+        if len(label) != expected:
+            wrong_size = (
+                f"edge ({u}, {v}) sumset {label} has size {len(label)}, expected {expected}"
+            )
+            break
+    edge_repeat = first_repeat(edge_labels.items(), "edges {} and {} share sumset {}")
+    mono_vertices, mono_edges = count_mono_elements(g, f)
+    return IASIVerdict(
+        vertex_injective=vertex_repeat is None,
+        edge_injective=edge_repeat is None,
+        weak_condition=wrong_size is None,
+        mono_vertex_count=mono_vertices,
+        mono_edge_count=mono_edges,
+        first_violation=vertex_repeat or wrong_size or edge_repeat,
+    )
+
+
+# The first violation each kind of drawn labeling must produce.
+VIOLATION_PREFIX = {
+    "valid": None,
+    "vertex": "vertices ",
+    "size": "edge (",
+    "edge": "edges ",
+}
+
+# The least graph each kind needs: two vertices, an edge, two disjoint edges.
+LEAST_GRAPH = {
+    "valid": Graph(0),
+    "vertex": Graph(2),
+    "size": Graph(2, ((0, 1),)),
+    "edge": Graph(4, ((0, 1), (2, 3))),
+    "mixed": Graph(0),
+}
+
+
+@st.composite
+def graphs_for(draw, kind):
+    """A small graph that contains the least graph ``kind`` needs."""
+    g = draw(graphs(max_vertices=7))
+    least = LEAST_GRAPH[kind]
+    return Graph(max(g.vertex_count, least.vertex_count), g.edges + least.edges)
+
+
+@st.composite
+def labelings_of_kind(draw, g, kind):
+    """A labeling of ``g`` whose first violation is of ``kind``, or one of
+    small arbitrary sets when ``kind`` is "mixed"; ``g`` holds
+    ``LEAST_GRAPH[kind]``.
+
+    The valid base gives v the singleton {4 * 8**v}, or {4 * 8**v, 4 * 8**v + 1}
+    for v in an independent set: the minimum of an edge's sumset names the
+    edge, so labels and sumsets are distinct and every sumset has the size
+    of its bigger endpoint label.
+    """
+    n = g.vertex_count
+    if kind == "mixed":
+        return VertexLabeling({
+            v: SetLabel(tuple(draw(st.sets(st.integers(0, 5), min_size=1, max_size=3))))
+            for v in range(n)
+        })
+    adj = g.adjacency()
+    doubled: set[int] = set()
+    for v in draw(st.permutations(range(n))):
+        if draw(st.booleans()) and not adj[v] & doubled:
+            doubled.add(v)
+    base = {v: 4 * 8**v for v in range(n)}
+    labels = {v: (base[v], base[v] + 1) if v in doubled else (base[v],) for v in range(n)}
+    if kind == "vertex":
+        u, v = sorted(draw(st.sets(st.sampled_from(range(n)), min_size=2, max_size=2)))
+        labels[v] = labels[u]
+    elif kind == "size":
+        u, v = draw(st.sampled_from(g.edges))
+        labels[u] = (base[u], base[u] + 1)
+        labels[v] = (base[v], base[v] + 2)
+    elif kind == "edge":
+        matched = [(e, d) for e in g.edges for d in g.edges if not set(e) & set(d)]
+        (a, b), (c, d) = draw(st.sampled_from(matched))
+        labels = {v: (base[v],) for v in range(n)}
+        # base values are multiples of 4, so these two stay distinct from all
+        labels[c] = (base[a] + 1,)
+        labels[d] = (base[b] - 1,)
+    return VertexLabeling({v: SetLabel(xs) for v, xs in labels.items()})
+
+
+@pytest.mark.parametrize("kind", list(LEAST_GRAPH))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_verify_matches_two_pass_reference(kind, data):
+    g = data.draw(graphs_for(kind))
+    f = data.draw(labelings_of_kind(g, kind))
+    expected = reference_verify(g, f)
+    assert verify(g, f) == expected
+    if kind != "mixed":
+        prefix = VIOLATION_PREFIX[kind]
+        if prefix is None:
+            assert expected.first_violation is None and expected.is_weak_iasi
+        else:
+            assert expected.first_violation.startswith(prefix)
+
+
+def test_verify_computes_each_sumset_once(monkeypatch):
+    g = cycle_graph(7)
+    f = labeling([1], [2, 9], [4], [8, 30], [16], [32, 70], [64])
+    calls = []
+    compute = setlabels._sums
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compute(a, b)
+
+    monkeypatch.setattr(setlabels, "_sums", counting)
+    verdict = verify(g, f)
+    assert sorted(calls) == sorted(
+        (f.labels[u].elements, f.labels[v].elements) for u, v in g.edges
+    )
+    assert verdict == reference_verify(g, f)
+
+
+@settings(max_examples=80)
+@given(graphs(max_vertices=7), st.data())
+def test_count_mono_with_and_without_precomputed_sums(g, data):
+    f = data.draw(labelings_of_kind(g, "mixed"))
+    sums = [sumset(f.labels[u], f.labels[v]).elements for u, v in g.edges]
+    assert count_mono_elements(g, f, sums) == count_mono_elements(g, f)
 
 
 # ---------------------------------------------------------------------------
