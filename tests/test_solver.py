@@ -126,6 +126,25 @@ def test_enumeration_matches_recursive_reference(g, unit_weights):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=12))
+@example(Graph(1))
+@example(Graph(2, ((0, 1),)))
+# 12,294 sets: the hubs 13 and 14 win only after the first chunk of 4,096
+@example(Graph(16, tuple((v, h) for v in range(13) for h in (13, 14)) + ((0, 1),)))
+def test_bruteforce_folds_the_reference_enumeration(g):
+    # the first strict maximum over the reference order, every set counted
+    best_mask, best_weight, explored = 0, -1, 0
+    for mask, weight in _independent_sets(g.adjacency_masks(), g.degrees()):
+        explored += 1
+        if weight > best_weight:
+            best_mask, best_weight = mask, weight
+    result = sparing_bruteforce(g)
+    assert result.value == g.edge_count - best_weight
+    assert result.witness == MonoPattern(frozenset(solver._mask_to_ids(best_mask)))
+    assert result.explored == explored
+
+
 def test_bruteforce_k4():
     result = sparing_bruteforce(complete_graph(4))
     assert result.value == 3
@@ -167,6 +186,13 @@ def test_bruteforce_cap():
     with pytest.raises(CapExceededError):
         sparing_bruteforce(Graph(25))
     assert sparing_bruteforce(Graph(25), cap=25).value == 0
+
+
+def test_bruteforce_reads_the_clock_every_4096_sets():
+    with pytest.raises(SolverTimeout, match=r"^enumeration exceeded its time budget after 4096 sets$"):
+        sparing_bruteforce(Graph(13), cap=13, timeout_secs=0.0)
+    # 377 sets end before the first clock read
+    assert sparing_bruteforce(path_graph(12), timeout_secs=0.0).value == 0
 
 
 def test_bruteforce_negative_cap_is_malformed():
