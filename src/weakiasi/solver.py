@@ -22,8 +22,9 @@ Three exact methods are provided and must agree (value and witness):
 
 * ``sparing_exact`` answers a bipartite graph without a search (value 0,
   witness read off the 2-colouring ``is_bipartite`` returns) and solves any
-  other graph by branch-and-bound: it takes forced vertices without
-  branching (Lamm et al. 2019), branches include/exclude on a
+  other graph by branch-and-bound: it takes without branching every
+  simplicial vertex (its neighbours form a clique) that no neighbour
+  outweighs (Lamm et al. 2019), branches include/exclude on a
   highest-degree vertex of each connected component, and memoizes each
   component's optimum with its lexicographically smallest optimal set, so
   the witness comes out of the same search.  The search is fail-soft: a
@@ -332,21 +333,34 @@ def sparing_maximal_sets(g: Graph) -> tuple[int, MonoPattern]:
 class _MaxWeightEngine:
     """Maximum-weight independent set over bitmask states, with its witness.
 
-    Takes forced vertices without branching (``_peel``), splits the rest
-    into connected components (their optima add), bounds each component by
-    a greedy weight-splitting clique cover (``_cover``) and branches
-    include/exclude on its highest-degree vertex.  The search is fail-soft
-    (see ``solve``) and keeps two memos of connected masks: ``memo`` holds
-    an optimum with its lexicographically smallest optimal set, ``bounds``
-    an upper bound of a mask that failed low and its pivot, so a search at
-    a lower cut-off does not walk it again.  Every searched vertex must have
-    positive weight, which the tie-break relies on.  Raises RecursionError
-    when the search is deeper than the interpreter allows.
+    Takes every simplicial vertex that no neighbour outweighs without
+    branching (``_peel``), splits the rest into connected components (their
+    optima add), bounds each component by a greedy weight-splitting clique
+    cover (``_cover``) and branches include/exclude on its highest-degree
+    vertex, reading the clock at each branching node; ``_solve_max_weight``
+    reads it once before the search, so a spent budget never gets an answer
+    from the peel alone.  ``heavier[v]`` masks the neighbours that outweigh
+    v, an as heavy lower one counting as heavier (the lex-min tie-break).
+    The search is fail-soft (see ``solve``) and keeps two memos of connected
+    masks: ``memo`` holds an optimum with its lexicographically smallest
+    optimal set, ``bounds`` an upper bound of a mask that failed low and its
+    pivot, so a search at a lower cut-off does not walk it again.  Every
+    searched vertex must have positive weight, which the tie-break relies
+    on.  Raises RecursionError when the search is deeper than the
+    interpreter allows.
     """
 
-    def __init__(self, adj: list[int], weights: list[int], deadline: float | None):
-        self.adj = adj
+    def __init__(self, g: Graph, weights: list[int], deadline: float | None):
+        self.adj = g.adjacency_masks()
         self.weights = weights
+        # on each edge u < v one end outweighs the other: the heavier, u on a tie
+        heavier = [0] * g.vertex_count
+        for u, v in g.edges:
+            if weights[u] >= weights[v]:
+                heavier[v] |= 1 << u
+            else:
+                heavier[u] |= 1 << v
+        self.heavier = heavier
         self.deadline = deadline
         self.memo: dict[int, tuple[int, int]] = {}
         self.bounds: dict[int, tuple[int, int]] = {}
@@ -364,9 +378,11 @@ class _MaxWeightEngine:
         bound, optimum <= value <= ``alpha``.  The result is exact whenever
         the optimum exceeds ``alpha``, so ``alpha = -1`` always is.
 
-        The forced vertices are taken first; only those of ``touched`` can
-        be forced on entry.  Each loop step then takes the lowest connected
-        component of the rest and its pivot from one component search.
+        The forced vertices (see ``_peel``) are taken first; only those of
+        ``touched`` can be forced on entry, since a vertex's status changes
+        only when one of its neighbours leaves.  Each loop step then takes
+        the lowest connected component of the rest and its pivot from one
+        component search.
         Unless the component is memoized, it gets the room ``alpha`` leaves
         beside the components already solved and the cover of the rest (the
         cover is additive over components), fails low if its bound fits that
@@ -445,30 +461,41 @@ class _MaxWeightEngine:
     def _peel(self, avail: int, touched: int) -> tuple[int, int, int]:
         """(what is left of ``avail``, weight taken, members taken).
 
-        Takes every forced vertex v: one without a neighbour in ``avail``,
-        or with a single one u where w(v) > w(u), or w(v) = w(u) and v < u.
-        Such a v is in the lex-min optimum: swapping u for v never lowers
-        the weight, and on a tie the set holding the lower v wins.  Taking v
-        removes N[v], and only the available neighbours of the removed ones
-        are checked again, so a path peels in O(length) mask operations.
+        Takes every forced vertex v: a simplicial one, whose neighbours in
+        ``avail`` form a clique, where each such neighbour u has w(u) < w(v),
+        or w(u) = w(v) and u > v (no neighbour left, or a single one, are the
+        smallest cases).  Such a v is in the lex-min optimum: an optimum
+        holds at most one vertex of the clique N[v], swapping that vertex
+        for v never lowers the weight, and on a tie the swapped set holds
+        the lower differing vertex v.  The weights are tested first, in one
+        mask test against ``heavier``.  Taking v removes N[v], and only the
+        available neighbours of the removed ones are checked again, so a
+        path or a union of cliques peels in O(size) mask operations.
         ``touched`` must hold every vertex that may be forced.
         """
-        adj, weights = self.adj, self.weights
+        adj, heavier = self.adj, self.heavier
         total = members = 0
         while touched:
             bit = touched & -touched
             touched ^= bit
             v = bit.bit_length() - 1
-            near = adj[v] & avail
-            if near:
-                u = near.bit_length() - 1
-                # kept: a second neighbour, or u heavier, or as heavy and lower
-                if near != 1 << u or (weights[u], v) > (weights[v], u):
-                    continue
-                touched |= adj[u]
-            total += weights[v]
+            near = left = adj[v] & avail
+            if near & heavier[v]:
+                continue
+            while left:
+                u_bit = left & -left
+                if near & ~adj[u_bit.bit_length() - 1] != u_bit:
+                    break  # u misses another neighbour: not a clique
+                left ^= u_bit
+            if left:
+                continue
+            total += self.weights[v]
             members |= bit
             avail ^= near | bit
+            while near:
+                u_bit = near & -near
+                near ^= u_bit
+                touched |= adj[u_bit.bit_length() - 1]
             touched &= avail
         return avail, total, members
 
@@ -544,9 +571,13 @@ def _solve_max_weight(
 
     Searches only the vertices of positive weight: the rest add nothing,
     and where they belong in a lex-min witness is the caller's choice.
+    Reads the clock once before the search: a spent budget raises
+    SolverTimeout "after 0 nodes" even where the peel alone would answer.
     """
-    engine = _MaxWeightEngine(g.adjacency_masks(), weights, deadline)
+    engine = _MaxWeightEngine(g, weights, deadline)
     positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout(f"solver exceeded its time budget {engine.progress()}")
     try:
         best, members = engine.solve(positive)
     except RecursionError:
@@ -564,8 +595,9 @@ def sparing_exact(
     A bipartite graph has value 0 and its witness is read off its 2-colouring
     with no search, so ``explored`` is 0 and it never runs out of its budget;
     a NaN or negative ``timeout_secs`` is still rejected with ValueError.  Otherwise
-    raises SolverTimeout when the budget runs out and ResourceLimitError
-    when the search is too deep for the interpreter.
+    raises SolverTimeout when the budget runs out, before the search too (so
+    a zero budget times out every non-bipartite graph), and
+    ResourceLimitError when the search is too deep for the interpreter.
     """
     start = time.monotonic()
     deadline = _deadline(timeout_secs)
@@ -589,7 +621,11 @@ def sparing_exact(
 def max_independent_set(
     g: Graph, timeout_secs: float | None = DEFAULT_TIMEOUT_SECS
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact independence number with the lex-min witness."""
+    """Exact independence number with the lex-min witness.
+
+    Every graph goes to the search, so a zero budget always raises
+    SolverTimeout, even on a path that the peel would answer alone.
+    """
     size, members, _explored = _solve_max_weight(g, [1] * g.vertex_count, _deadline(timeout_secs))
     return size, _mask_to_ids(members)
 

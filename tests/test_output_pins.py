@@ -99,7 +99,7 @@ def _verify_argv(kind):
 CLI_DIGESTS = {
     "sparing-exact": (
         ["sparing", "--graph", "{product}"],
-        "ae1c65d4a0caf1020d39e72fd77cee4fe85d11d22db7b7f0717bd5cdf91612b1",
+        "18ba4274c428e7780cc23d0506d248043d2a46a3ba846a2974c67e2deda40760",
     ),
     "sparing-bipartite": (
         ["sparing", "--graph", "{p4}"],

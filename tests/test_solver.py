@@ -276,6 +276,18 @@ def test_timeout_is_reported():
         sparing_exact(g, timeout_secs=0.0)
 
 
+def test_spent_budget_times_out_before_the_peel():
+    # the triangles would all be peeled without a node
+    with pytest.raises(SolverTimeout, match=r"budget after 0 nodes with 0 memoized states$"):
+        sparing_exact(disjoint_triangles(5), timeout_secs=0.0)
+    # every engine search, unit weights too, even where the peel alone answers
+    with pytest.raises(SolverTimeout, match=r"after 0 nodes"):
+        max_independent_set(path_graph(10), timeout_secs=0.0)
+    with pytest.raises(SolverTimeout, match=r"after 0 nodes"):
+        min_mono_vertices(path_graph(10), timeout_secs=0.0)
+    assert max_independent_set(path_graph(10), timeout_secs=None) == (5, (0, 2, 4, 6, 8))
+
+
 def test_timeout_message_reports_progress():
     g, _ = edge_corona(cycle_graph(5), cycle_graph(5))
     with pytest.raises(SolverTimeout, match=r"budget after \d+ nodes with \d+ memoized states$"):
@@ -337,7 +349,7 @@ def test_exact_matches_bruteforce_where_the_bound_prunes():
         assert sparing_maximal_sets(g) == (brute.value, brute.witness)
         size, members = masked_optimum(g, [1] * g.vertex_count, (1 << g.vertex_count) - 1)
         assert max_independent_set(g) == (size, solver._mask_to_ids(members))
-        engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
+        engine = _MaxWeightEngine(g, g.degrees(), None)
         engine.solve(sum(1 << v for v, d in enumerate(g.degrees()) if d))
         pruned += bool(engine.bounds)
     assert pruned >= 20
@@ -404,10 +416,22 @@ def test_maximal_sets_are_the_unextendable_independent_sets_on_a_seeded_suite():
         assert_enumerates_maximal_sets(g.adjacency_masks(), [1] * g.vertex_count)
 
 
-def disjoint_triangles(k):
+def disjoint_cliques(k, size):
+    """k disjoint copies of K_size, the i-th on vertices size*i .. size*i + size - 1."""
     return Graph(
-        3 * k,
-        tuple((3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))),
+        k * size,
+        tuple((size * i + a, size * i + b) for i in range(k) for a in range(size) for b in range(a + 1, size)),
+    )
+
+
+def disjoint_triangles(k):
+    return disjoint_cliques(k, 3)
+
+
+def disjoint_cycles(k, size):
+    return Graph(
+        k * size,
+        tuple((size * i + a, size * i + (a + 1) % size) for i in range(k) for a in range(size)),
     )
 
 
@@ -561,7 +585,7 @@ def test_component_matches_rescanning_reference(g, mask):
     if not avail:
         return
     adj = g.adjacency_masks()
-    engine = _MaxWeightEngine(adj, g.degrees(), None)
+    engine = _MaxWeightEngine(g, g.degrees(), None)
     component, pivot = engine._component(avail)
     assert component == rescanning_component(adj, avail)
     # naive pivot: most neighbours in avail, smallest id on ties
@@ -581,11 +605,12 @@ class CountingDict(dict):
 
 
 @pytest.mark.parametrize(
-    "g",
-    [gnp_random_graph(60, 0.15, 1), disjoint_triangles(304)],
-    ids=["gnp60", "triangles304"],
+    ("g", "explored"),
+    # the triangles are all peeled and walk nothing; each 5-cycle branches once
+    [(gnp_random_graph(60, 0.15, 1), 695), (disjoint_triangles(304), 0), (disjoint_cycles(300, 5), 300)],
+    ids=["gnp60", "triangles304", "pentagons300"],
 )
-def test_no_component_is_walked_twice(g, monkeypatch):
+def test_no_component_is_walked_twice(g, explored, monkeypatch):
     # each component is branched where the search finds it, never handed
     # to a nested search that would walk it again, and a mask that failed
     # low and fails low again is answered from the bound memo unwalked
@@ -601,9 +626,10 @@ def test_no_component_is_walked_twice(g, monkeypatch):
         return component, pivot
 
     monkeypatch.setattr(_MaxWeightEngine, "_component", recording)
-    engine = _MaxWeightEngine(g.adjacency_masks(), g.degrees(), None)
+    engine = _MaxWeightEngine(g, g.degrees(), None)
     engine.memo, engine.bounds = CountingDict(), CountingDict()
     engine.solve((1 << g.vertex_count) - 1)
+    assert engine.explored == explored
     assert len(walked_again) == 0
     # an exact component is stored once and never searched again; every
     # search node ends in one of the two memos, and the bound memo also
@@ -618,19 +644,49 @@ def test_no_component_is_walked_twice(g, monkeypatch):
     [
         (path_graph(334), 0, 0),  # bipartite: answered without a search
         (cycle_graph(223), 1, 1),
-        (disjoint_triangles(304), 304, 304),
-        (gnp_random_graph(60, 0.15, 1), 112, 720),
-        (gnp_random_graph(80, 0.15, 1), 247, 2953),
+        (disjoint_triangles(304), 304, 0),
+        (gnp_random_graph(60, 0.15, 1), 112, 695),
+        (gnp_random_graph(80, 0.15, 1), 247, 2909),
     ],
     ids=["path334", "cycle223", "triangles304", "gnp60", "gnp80"],
 )
 def test_explored_node_counts_are_pinned(g, value, explored):
     # one node per branched connected component, found in a single search
-    # pass that carries each component's lex-min optimal set; forced
+    # pass that carries each component's lex-min optimal set; simplicial
     # vertices are taken without a node, so a cycle branches once and
-    # both paths left are peeled, and a triangle branches once
+    # both paths left are peeled, and a triangle is peeled whole
     result = sparing_exact(g, timeout_secs=None)
     assert (result.value, result.explored) == (value, explored)
+
+
+@pytest.mark.parametrize(("k", "size"), [(300, 3), (50, 4), (40, 5), (30, 6)])
+def test_clique_unions_are_peeled_without_a_node(k, size):
+    # each clique's lowest vertex beats its as heavy, higher neighbours
+    result = sparing_exact(disjoint_cliques(k, size), timeout_secs=None)
+    assert result.explored == 0
+    assert result.value == k * (size - 1) * (size - 2) // 2
+    assert result.witness.sorted_ids() == tuple(range(0, k * size, size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_vertices=12), st.integers(min_value=0, max_value=(1 << 12) - 1), st.booleans())
+# vertex 0 is simplicial in its triangle but lighter than vertex 1
+@example(Graph(4, ((0, 1), (0, 2), (1, 2), (1, 3))), 0b1111, False)
+def test_peel_takes_only_lex_min_optimum_vertices(g, mask, unit_weights):
+    weights = engine_weights(g, unit_weights)
+    mask &= sum(1 << v for v, w in enumerate(weights) if w > 0)
+    engine = _MaxWeightEngine(g, weights, None)
+    rest, taken_weight, taken = engine._peel(mask, mask)
+    optimum, lex_min = masked_optimum(g, weights, mask)
+    assert not taken & ~lex_min
+    assert taken_weight == sum(weights[v] for v in solver._mask_to_ids(taken))
+    assert taken_weight + masked_optimum(g, weights, rest)[0] == optimum
+    # taking v removes exactly N[v]
+    adj = g.adjacency_masks()
+    closed = taken
+    for v in solver._mask_to_ids(taken):
+        closed |= adj[v]
+    assert rest == mask & ~closed
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +711,7 @@ def engine_weights(g, unit_weights):
 def test_cover_bounds_the_optimum(g, mask, unit_weights):
     mask &= (1 << g.vertex_count) - 1
     weights = engine_weights(g, unit_weights)
-    engine = _MaxWeightEngine(g.adjacency_masks(), weights, None)
+    engine = _MaxWeightEngine(g, weights, None)
     cover = engine._cover(mask)
     assert cover >= masked_optimum(g, weights, mask)[0]
     # a cover stopped at a limit says only whether the full cover fits
@@ -685,16 +741,15 @@ def disjoint_greedy_cover(adj, mask):
 def test_unit_weight_cover_is_a_disjoint_greedy_cover(g, mask):
     # with unit weights every member is paid in full by its first clique
     mask &= (1 << g.vertex_count) - 1
-    adj = g.adjacency_masks()
-    engine = _MaxWeightEngine(adj, [1] * g.vertex_count, None)
-    assert engine._cover(mask) == disjoint_greedy_cover(adj, mask)
+    engine = _MaxWeightEngine(g, [1] * g.vertex_count, None)
+    assert engine._cover(mask) == disjoint_greedy_cover(g.adjacency_masks(), mask)
 
 
 def test_split_cover_is_tighter_than_the_heaviest_member():
     # P3 weighted 1, 2, 1: clique {0, 1} costs 1 and leaves vertex 1 with 1,
     # which clique {1, 2} pays; charging each clique its heaviest member
     # would give 2 + 1
-    engine = _MaxWeightEngine(path_graph(3).adjacency_masks(), [1, 2, 1], None)
+    engine = _MaxWeightEngine(path_graph(3), [1, 2, 1], None)
     assert engine._cover(0b111) == 2
 
 
@@ -723,12 +778,11 @@ def assert_fail_soft(g, weights, mask):
     # the engine searches only vertices of positive weight
     mask &= sum(1 << v for v, w in enumerate(weights) if w > 0)
     optimum = masked_optimum(g, weights, mask)
-    adj = g.adjacency_masks()
     # a fresh engine per cut-off, and one whose memos stay warm from
     # cut-offs met before, both ending exact at -1
-    warm = _MaxWeightEngine(adj, weights, None)
+    warm = _MaxWeightEngine(g, weights, None)
     for alpha in [*range(optimum[0] + 2, -2, -1), *range(optimum[0] + 3)]:
-        for engine in (_MaxWeightEngine(adj, weights, None), warm):
+        for engine in (_MaxWeightEngine(g, weights, None), warm):
             value, members = engine.solve(mask, alpha)
             if members is None:
                 assert optimum[0] <= value <= alpha
