@@ -341,10 +341,10 @@ class _MaxWeightEngine:
     reads it once before the search, so a spent budget never gets an answer
     from the peel alone.  ``heavier[v]`` masks the neighbours that outweigh
     v, an as heavy lower one counting as heavier (the lex-min tie-break).
-    The search is fail-soft (see ``solve``) and keeps two memos of connected
-    masks: ``memo`` holds an optimum with its lexicographically smallest
-    optimal set, ``bounds`` an upper bound of a mask that failed low and its
-    pivot, so a search at a lower cut-off does not walk it again.  Every
+    The search is fail-soft (see ``solve``) and keeps one memo: ``memo``
+    maps each connected mask branched to an exact end to its optimum and
+    lexicographically smallest optimal set, stored once after its branching
+    node, so it never holds more entries than ``explored``.  Every
     searched vertex must have positive weight, which the tie-break relies
     on.  Raises RecursionError when the search is deeper than the
     interpreter allows.
@@ -363,12 +363,10 @@ class _MaxWeightEngine:
         self.heavier = heavier
         self.deadline = deadline
         self.memo: dict[int, tuple[int, int]] = {}
-        self.bounds: dict[int, tuple[int, int]] = {}
         self.explored = 0
 
     def progress(self) -> str:
-        states = len(self.memo) + len(self.bounds)
-        return f"after {self.explored} nodes with {states} memoized states"
+        return f"after {self.explored} nodes with {len(self.memo)} memoized states"
 
     def solve(self, avail: int, alpha: int = -1, touched: int = -1) -> tuple[int, int | None]:
         """(value, members) for the maximum weight inside ``avail``.
@@ -391,7 +389,8 @@ class _MaxWeightEngine:
         include, so a tie comes back exact for the lowest-differing-vertex
         rule.  So every branching level costs one stack frame.  The lex-min
         optima of disjoint components unite into the lex-min optimum of
-        their union, so only connected masks are memoized.
+        their union, so only connected masks are memoized; one that fails
+        low is not, and is walked again if met again.
         """
         adj = self.adj
         avail, total, members = self._peel(avail, touched & avail)
@@ -399,14 +398,8 @@ class _MaxWeightEngine:
             component = avail
             part = self.memo.get(avail)
             if part is None:
-                # a mask that failed low before is connected and keeps its pivot
-                known = self.bounds.get(avail)
-                if known is None:
-                    component, pivot = self._component(avail)
-                    part = self.memo.get(component)
-                    known = self.bounds.get(component)
-                else:
-                    pivot = known[1]
+                component, pivot = self._component(avail)
+                part = self.memo.get(component)
             if part is None:
                 room = alpha - total
                 rest = 0
@@ -417,13 +410,10 @@ class _MaxWeightEngine:
                     rest = self._cover(avail ^ component, room)
                     room -= rest
                     if room >= 0:
-                        if known is None:
-                            # a cover stopped early is no bound, only "does not fit"
-                            known = self._cover(component, room), pivot
-                            if known[0] <= room:
-                                self.bounds[component] = known
-                        if known[0] <= room:
-                            return total + known[0] + rest, None
+                        # a cover stopped early is no bound, only "does not fit"
+                        bound = self._cover(component, room)
+                        if bound <= room:
+                            return total + bound + rest, None
                 self.explored += 1
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
@@ -450,7 +440,6 @@ class _MaxWeightEngine:
                     differ = include[1] ^ exclude[1]
                     part = include if include[1] & differ & -differ else exclude
                 if part[1] is None:
-                    self.bounds[component] = part[0], pivot
                     return total + part[0] + rest, None
                 self.memo[component] = part
             total += part[0]

@@ -338,20 +338,29 @@ def naive_sparing(g):
     return best_value, best_witness
 
 
-def test_exact_matches_bruteforce_where_the_bound_prunes():
+def test_exact_matches_bruteforce_where_the_bound_prunes(monkeypatch):
     # denser graphs of 18-22 vertices, where masks fail low, unlike in the
-    # small graphs above
+    # small graphs above; the top-level search is exact, so a search that
+    # returns no members is a nested one that failed low
+    failed_low = []
+    search = _MaxWeightEngine.solve
+
+    def recording(self, *args):
+        value, members = search(self, *args)
+        failed_low.append(members is None)
+        return value, members
+
+    monkeypatch.setattr(_MaxWeightEngine, "solve", recording)
     pruned = 0
     for g in seeded_graphs(24, max_vertices=22, seed=7, min_vertices=18, p_choices=(0.3, 0.4, 0.5)):
         brute = sparing_bruteforce(g)
+        failed_low.clear()
         exact = sparing_exact(g)
+        pruned += any(failed_low)
         assert (exact.value, exact.witness) == (brute.value, brute.witness)
         assert sparing_maximal_sets(g) == (brute.value, brute.witness)
         size, members = masked_optimum(g, [1] * g.vertex_count, (1 << g.vertex_count) - 1)
         assert max_independent_set(g) == (size, solver._mask_to_ids(members))
-        engine = _MaxWeightEngine(g, g.degrees(), None)
-        engine.solve(sum(1 << v for v, d in enumerate(g.degrees()) if d))
-        pruned += bool(engine.bounds)
     assert pruned >= 20
 
 
@@ -605,38 +614,45 @@ class CountingDict(dict):
 
 
 @pytest.mark.parametrize(
-    ("g", "explored"),
-    # the triangles are all peeled and walk nothing; each 5-cycle branches once
-    [(gnp_random_graph(60, 0.15, 1), 695), (disjoint_triangles(304), 0), (disjoint_cycles(300, 5), 300)],
+    ("g", "explored", "rewalks"),
+    # the triangles are all peeled and walk nothing; each 5-cycle branches
+    # once; on gnp60, 21 walks (18 distinct masks) repeat a mask that
+    # failed low at another cut-off
+    [
+        (gnp_random_graph(60, 0.15, 1), 696, 21),
+        (disjoint_triangles(304), 0, 0),
+        (disjoint_cycles(300, 5), 300, 0),
+    ],
     ids=["gnp60", "triangles304", "pentagons300"],
 )
-def test_no_component_is_walked_twice(g, explored, monkeypatch):
+def test_no_component_is_walked_twice(g, explored, rewalks, monkeypatch):
     # each component is branched where the search finds it, never handed
-    # to a nested search that would walk it again, and a mask that failed
-    # low and fails low again is answered from the bound memo unwalked
+    # to a nested search that would walk it again; only a mask that failed
+    # low, and so was stored nowhere, is walked again when met again
     returned = set()
     walked_again = []
+    memoized_when_walked = []
     component_search = _MaxWeightEngine._component
 
     def recording(self, avail):
         if avail in returned:
             walked_again.append(avail)
+        if avail in self.memo:
+            memoized_when_walked.append(avail)
         component, pivot = component_search(self, avail)
         returned.add(component)
         return component, pivot
 
     monkeypatch.setattr(_MaxWeightEngine, "_component", recording)
     engine = _MaxWeightEngine(g, g.degrees(), None)
-    engine.memo, engine.bounds = CountingDict(), CountingDict()
+    engine.memo = CountingDict()
     engine.solve((1 << g.vertex_count) - 1)
     assert engine.explored == explored
-    assert len(walked_again) == 0
-    # an exact component is stored once and never searched again; every
-    # search node ends in one of the two memos, and the bound memo also
-    # takes the covers that fit
-    assert engine.memo.stores == len(engine.memo)
-    assert len(engine.memo) <= engine.explored <= engine.memo.stores + engine.bounds.stores
-    assert set(engine.bounds) <= returned
+    assert len(walked_again) == rewalks
+    # an exact component is stored once, after its branching node, and is
+    # never searched again
+    assert not memoized_when_walked
+    assert engine.memo.stores == len(engine.memo) <= engine.explored
 
 
 @pytest.mark.parametrize(
@@ -645,7 +661,7 @@ def test_no_component_is_walked_twice(g, explored, monkeypatch):
         (path_graph(334), 0, 0),  # bipartite: answered without a search
         (cycle_graph(223), 1, 1),
         (disjoint_triangles(304), 304, 0),
-        (gnp_random_graph(60, 0.15, 1), 112, 695),
+        (gnp_random_graph(60, 0.15, 1), 112, 696),
         (gnp_random_graph(80, 0.15, 1), 247, 2909),
     ],
     ids=["path334", "cycle223", "triangles304", "gnp60", "gnp80"],
@@ -778,7 +794,7 @@ def assert_fail_soft(g, weights, mask):
     # the engine searches only vertices of positive weight
     mask &= sum(1 << v for v, w in enumerate(weights) if w > 0)
     optimum = masked_optimum(g, weights, mask)
-    # a fresh engine per cut-off, and one whose memos stay warm from
+    # a fresh engine per cut-off, and one whose memo stays warm from
     # cut-offs met before, both ending exact at -1
     warm = _MaxWeightEngine(g, weights, None)
     for alpha in [*range(optimum[0] + 2, -2, -1), *range(optimum[0] + 3)]:
@@ -789,6 +805,11 @@ def assert_fail_soft(g, weights, mask):
             else:
                 assert (value, members) == optimum
     assert warm.solve(mask) == optimum
+    # a fail-low bound never lands in the memo: every entry is exact, and
+    # each was stored after a branching node of its own
+    for key, entry in warm.memo.items():
+        assert entry == masked_optimum(g, weights, key)
+    assert len(warm.memo) <= warm.explored
 
 
 # ---------------------------------------------------------------------------
