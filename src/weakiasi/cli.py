@@ -133,9 +133,9 @@ def _cmd_sparing(args: argparse.Namespace) -> int:
         result = sparing_exact(graph, timeout_secs=args.timeout_secs)
     emit_json(result.to_json_dict())
     if args.verbose:
+        unit = "sets" if args.method == "bruteforce" else "nodes"
         print(
-            f"sparing number {result.value} via {result.method}, "
-            f"{result.explored} nodes",
+            f"sparing number {result.value} via {result.method}, {result.explored} {unit}",
             file=sys.stderr,
         )
     return EX_OK

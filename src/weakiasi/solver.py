@@ -11,9 +11,12 @@ Three exact methods are provided and must agree (value and witness):
 * ``sparing_bruteforce`` enumerates every independent set, in lexicographic
   order of the sorted vertex sequence, under an optional time budget, and
   keeps the first optimum - the lexicographically smallest optimal witness.
-  It walks the sets in one loop, ``_walk_sets``, that runs 4,096 sets a
-  call; ``_independent_sets`` is the same walk as a generator, the
-  reference enumeration the tests and ``odd_cycle_parity_check`` read.
+  It walks the sets of all but its top vertices in one loop,
+  ``_walk_sets``, and accounts for each block of sets that extends one by
+  top vertices alone with one entry of a table over the top vertices'
+  subsets (``_top_table``), a meet-in-the-middle split; ``_independent_sets``
+  is the whole walk as a generator, the reference enumeration the tests and
+  ``odd_cycle_parity_check`` read.
 
 * ``sparing_maximal_sets`` enumerates only the maximal independent sets
   (Bron-Kerbosch with a pivot), since with positive weights every optimum
@@ -47,6 +50,9 @@ from .graphs import Graph, cycle_graph, is_bipartite
 
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_TIMEOUT_SECS = 30.0
+# brute force looks up the sets of its top vertices, at most this many, in
+# one table: 2**12 = 4,096 entries, as many sets as walk between clock reads
+_TOP_BITS = 12
 
 METHOD_BRUTEFORCE = "bruteforce"
 METHOD_BRANCH_AND_BOUND = "branch_and_bound"
@@ -158,28 +164,61 @@ def _independent_sets(adj: list[int], weights: list[int]) -> Iterator[tuple[int,
             rest &= ~adj[v]
 
 
+def _top_table(adj: list[int], weights: list[int], shift: int) -> list[tuple[int, int, int]]:
+    """For each set m of the vertices from ``shift`` up, at index m >> shift:
+    (the count of non-empty independent subsets of m, the highest weight of
+    an independent subset, the first one in walk order that reaches it).
+
+    With b the lowest vertex of m, the subsets without b are those of m - b,
+    and those with b add b to a subset of m - N[b], so the entries are
+    filled from the highest b down, each from two entries already filled.
+    The sets holding b come first in walk order, so on a tie they win, a
+    zero-weight b too; a highest weight of 0 keeps the empty set.
+    """
+    size = 1 << (len(adj) - shift)
+    table = [(0, 0, 0)] * size
+    for v in reversed(range(shift, len(adj))):
+        bit = 1 << v - shift
+        weight, keep, member = weights[v], ~adj[v] >> shift, 1 << v
+        # every m whose lowest vertex is v, as m - b
+        for without in range(0, size, bit << 1):
+            sets, gain, first = table[without]
+            inner_sets, inner_gain, inner_first = table[without & keep]
+            inner_gain += weight
+            if inner_gain > 0 and inner_gain >= gain:
+                gain, first = inner_gain, inner_first | member
+            table[without | bit] = (1 + sets + inner_sets, gain, first)
+    return table
+
+
 def _walk_sets(
     stack: list[tuple[int, int, int]],
     step: list[tuple[int, int] | None],
+    table: list[tuple[int, int, int]],
+    shift: int,
     best_mask: int,
     best_weight: int,
     explored: int,
 ) -> tuple[int, int, int]:
-    """Walk on from the frames on ``stack`` up to the next multiple of 4,096 sets.
+    """Walk on from the frames on ``stack`` until the count passes the next
+    multiple of 4,096 sets.
 
-    The walk of ``_independent_sets`` in one loop with no call per set:
-    ``step[bit.bit_length()]`` holds the weight of that bit's vertex and
-    the mask that drops its neighbours.  Keeps the first set of the highest
-    weight (strict improvement) and counts every set.  Returns (best mask,
-    best weight, sets counted) and leaves the frames still to walk on
-    ``stack``.  Chunks let the caller read the clock between them, and they
-    get the loop specialized on a process's first walk: CPython 3.11
-    specializes a function's bytecode only after a few entries.
+    The walk of ``_independent_sets`` in one loop with no call per set, over
+    the vertices below ``shift``: ``step[bit.bit_length()]`` holds the
+    weight of that bit's vertex and the mask that drops its neighbours.
+    Once a frame has only vertices from ``shift`` up left to add, the rest
+    of its walk is the contiguous block of sets that extend its mask by
+    those vertices alone, and ``table`` (see ``_top_table``) stands for it:
+    its count, and its first heaviest set where that beats the best.  Keeps
+    the first set of the highest weight (strict improvement) and counts
+    every set.  Returns (best mask, best weight, sets counted) and leaves
+    the frames still to walk on ``stack``.
     """
+    low = (1 << shift) - 1
     stop = (explored | 4095) + 1
     while stack:
         rest, mask, weight = stack.pop()
-        while rest:
+        while rest & low:
             bit = rest & -rest
             rest ^= bit
             if rest:
@@ -195,6 +234,12 @@ def _walk_sets(
                 if rest:
                     stack.append((rest, mask, weight))
                 return best_mask, best_weight, explored
+        sets, gain, first = table[rest >> shift]
+        explored += sets
+        if weight + gain > best_weight:
+            best_mask, best_weight = mask | first, weight + gain
+        if explored >= stop:
+            return best_mask, best_weight, explored
     return best_mask, best_weight, explored
 
 
@@ -270,15 +315,19 @@ def _deadline(timeout_secs: float | None) -> float | None:
 def sparing_bruteforce(
     g: Graph, cap: int = DEFAULT_BRUTE_CAP, timeout_secs: float | None = None
 ) -> SparingResult:
-    """Defining minimization, executed literally over all valid patterns.
+    """Defining minimization over all valid patterns.
 
     Walks the independent sets in the order ``_independent_sets`` yields
-    them, in chunks of ``_walk_sets`` that cost no call per set, and keeps
-    the lexicographically smallest optimal non-mono set (strict improvement
-    over the lex-ordered walk); ``explored`` counts every set once, the
-    empty set included.  Refuses graphs larger than ``cap`` vertices (a
-    negative cap is a ValueError); reads the clock every 4,096 sets and
-    raises SolverTimeout once ``timeout_secs`` have passed.
+    them and keeps the lexicographically smallest optimal non-mono set
+    (strict improvement over the lex-ordered walk); ``explored`` counts
+    every set once, the empty set included.  The walk, ``_walk_sets``,
+    steps through the sets of all but the top ``min(n // 2, _TOP_BITS)``
+    vertices and looks up each block of sets that extends one by top
+    vertices alone in a table built once per call (Horowitz & Sahni 1974).
+    Refuses graphs larger than ``cap`` vertices (a negative cap is a
+    ValueError); while sets remain, reads the clock each time the count
+    passes the next multiple of 4,096 and raises SolverTimeout, with the
+    count reached, once ``timeout_secs`` have passed.
     """
     if cap < 0:
         raise ValueError(f"the brute-force cap must be non-negative, got {cap}")
@@ -288,15 +337,20 @@ def sparing_bruteforce(
         )
     start = time.monotonic()
     deadline = _deadline(timeout_secs)
+    degrees, adj = g.degrees(), g.adjacency_masks()
+    shift = g.vertex_count - min(g.vertex_count // 2, _TOP_BITS)
+    table = _top_table(adj, degrees, shift)
     # indexed by bit_length: a dict keyed by 1 << v crowds the high bits,
     # whose vertices add most sets, into one hash slot
-    step = [None] + [(d, ~a) for d, a in zip(g.degrees(), g.adjacency_masks())]
+    step = [None] + [(d, ~a) for d, a in zip(degrees, adj)]
     stack = [((1 << g.vertex_count) - 1, 0, 0)]
     best_mask = best_weight = 0
     explored = 1  # the empty set
     while stack:
-        best_mask, best_weight, explored = _walk_sets(stack, step, best_mask, best_weight, explored)
-        if not explored & 4095 and deadline is not None and time.monotonic() > deadline:
+        best_mask, best_weight, explored = _walk_sets(
+            stack, step, table, shift, best_mask, best_weight, explored
+        )
+        if stack and deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout(f"enumeration exceeded its time budget after {explored} sets")
     return SparingResult(
         value=g.edge_count - best_weight,

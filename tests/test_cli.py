@@ -251,9 +251,10 @@ def test_bruteforce_timeout_exits_3(tmp_path, capsys):
     assert err.startswith("error: enumeration exceeded its time budget after ")
     assert err.endswith(" sets\n")
     assert err.count("\n") == 1
-    # the clock is read every 4,096 sets
+    # the clock is read each time the count passes the next multiple of
+    # 4,096; the walk of the 288 vertices below the table cannot finish
     sets = int(err.removeprefix("error: enumeration exceeded its time budget after ").split()[0])
-    assert sets > 0 and sets % 4096 == 0
+    assert sets >= 4096
 
 
 def test_sparing_nan_timeout_exits_2(tmp_path, capsys):
@@ -359,6 +360,12 @@ def test_corona_and_sparing_verbose_lines(tmp_path, capsys):
     code, out, err = run(capsys, "sparing", "--graph", str(out_graph), "--verbose")
     explored = json.loads(out)["explored"]
     assert (code, err) == (0, f"sparing number 30 via branch_and_bound, {explored} nodes\n")
+    # brute force counts independent sets, not search nodes
+    code, out, err = run(
+        capsys, "sparing", "--graph", str(out_graph), "--method", "bruteforce", "--verbose"
+    )
+    explored = json.loads(out)["explored"]
+    assert (code, err) == (0, f"sparing number 30 via bruteforce, {explored} sets\n")
 
 
 # ---------------------------------------------------------------------------

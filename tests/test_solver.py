@@ -132,6 +132,14 @@ def test_enumeration_matches_recursive_reference(g, unit_weights):
 @example(Graph(2, ((0, 1),)))
 # 12,294 sets: the hubs 13 and 14 win only after the first chunk of 4,096
 @example(Graph(16, tuple((v, h) for v in range(13) for h in (13, 14)) + ((0, 1),)))
+# the table holds vertices 4-7: isolated 0, 4 and 6 lie on both sides of the
+# split, and 0 and 4 join the witness below its top vertex 5
+@example(Graph(8, ((1, 2), (2, 3), (5, 7))))
+# the optimum {4, 5, 6, 7} comes from the table alone
+@example(Graph(8, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+               + tuple((v, t) for v in range(4) for t in range(4, 8))))
+# 58,425 sets on 28 vertices: 16 walked vertices below a 12-vertex table
+@example(path_square(28))
 def test_bruteforce_folds_the_reference_enumeration(g):
     # the first strict maximum over the reference order, every set counted
     best_mask, best_weight, explored = 0, -1, 0
@@ -139,7 +147,7 @@ def test_bruteforce_folds_the_reference_enumeration(g):
         explored += 1
         if weight > best_weight:
             best_mask, best_weight = mask, weight
-    result = sparing_bruteforce(g)
+    result = sparing_bruteforce(g, cap=g.vertex_count)
     assert result.value == g.edge_count - best_weight
     assert result.witness == MonoPattern(frozenset(solver._mask_to_ids(best_mask)))
     assert result.explored == explored
@@ -164,12 +172,22 @@ def test_bruteforce_k4():
         ("cycle", 3, 4), ("cycle", 4, 7), ("cycle", 11, 199), ("cycle", 20, 15_127),
         # n + 1 on K_n
         ("complete", 1, 2), ("complete", 5, 6), ("complete", 20, 21),
+        # at the cap, where the top 12 vertices are looked up in one table
+        ("path", 24, 121_393), ("cycle", 24, 103_682), ("complete", 24, 25),
     ],
 )
 def test_bruteforce_counts_every_independent_set_once(family, n, sets):
     g = {"edgeless": Graph, "path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[family](n)
     assert sparing_bruteforce(g).explored == sets
     assert len(set(_independent_sets(g.adjacency_masks(), [1] * n))) == sets
+
+
+def test_bruteforce_on_triangles_past_the_table_limit():
+    # 30 vertices: a table of the top 12 (four triangles), six walked below
+    result = sparing_bruteforce(disjoint_triangles(10), cap=30)
+    assert result.value == 10
+    assert result.witness.sorted_ids() == tuple(range(0, 30, 3))
+    assert result.explored == 4 ** 10
 
 
 def test_bruteforce_even_cycle_is_zero():
@@ -189,7 +207,9 @@ def test_bruteforce_cap():
 
 
 def test_bruteforce_reads_the_clock_every_4096_sets():
-    with pytest.raises(SolverTimeout, match=r"^enumeration exceeded its time budget after 4096 sets$"):
+    # the 4,096 sets holding vertex 0 end with a table lookup of the 63
+    # non-empty subsets of the top six vertices, which passes 4,096 at 4,097
+    with pytest.raises(SolverTimeout, match=r"^enumeration exceeded its time budget after 4097 sets$"):
         sparing_bruteforce(Graph(13), cap=13, timeout_secs=0.0)
     # 377 sets end before the first clock read
     assert sparing_bruteforce(path_graph(12), timeout_secs=0.0).value == 0
