@@ -2,10 +2,9 @@
 """Run the full closed-form audit and print one table per registry entry.
 
 Every default row is solved exactly and, where the instance fits the
-audit cap, re-solved by enumerating its maximal independent sets (the
-``brute`` column and the ``bruteforce_value`` key keep their names).  Rows
-where the closed form and the exact optimum differ are findings and are
-listed in the summary.
+audit cap, re-solved by brute force (the ``brute`` column and the
+``bruteforce_value`` key).  Rows where the closed form and the exact
+optimum differ are findings and are listed in the summary.
 
 --extended widens the regular-pair catalogs up to 66-vertex coronas
 (e.g. the 60-vertex bipartite-times-bipartite instance); those extra rows
@@ -38,7 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--extended",
         action="store_true",
-        help="include regular-pair coronas up to 66 vertices (no maximal-set cross-check)",
+        help="include regular-pair coronas up to 66 vertices (no brute-force cross-check)",
     )
     return run_reporting_errors(lambda: _audit(parser.parse_args(argv)))
 

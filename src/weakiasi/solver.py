@@ -6,7 +6,7 @@ mono-indexed end.  An independent set S covers exactly sum(deg(v), v in S)
 edges, so the number of mono edges forced by S is |E| - that sum, and the
 sparing number is |E| minus a degree-weighted maximum independent set.
 
-Three exact methods are provided and must agree (value and witness):
+Two exact methods are provided and must agree (value and witness):
 
 * ``sparing_bruteforce`` enumerates every independent set, in lexicographic
   order of the sorted vertex sequence, under an optional time budget, and
@@ -14,14 +14,8 @@ Three exact methods are provided and must agree (value and witness):
   It walks the sets of all but its top vertices in one loop,
   ``_walk_sets``, and accounts for each block of sets that extends one by
   top vertices alone with one entry of a table over the top vertices'
-  subsets (``_top_table``), a meet-in-the-middle split; ``_independent_sets``
-  is the whole walk as a generator, the reference enumeration the tests and
-  ``odd_cycle_parity_check`` read.
-
-* ``sparing_maximal_sets`` enumerates only the maximal independent sets
-  (Bron-Kerbosch with a pivot), since with positive weights every optimum
-  is maximal, and keeps the heaviest, lex-min on ties.  It cross-checks the
-  theorem audit's rows, where it reaches far fewer sets than brute force.
+  subsets (``_TopTable``, filled on demand), a meet-in-the-middle split.
+  It cross-checks the theorem audit's rows.
 
 * ``sparing_exact`` answers a bipartite graph without a search (value 0,
   witness read off the 2-colouring ``is_bipartite`` returns) and solves any
@@ -37,6 +31,9 @@ Three exact methods are provided and must agree (value and witness):
   fits below that value.  This is the only route that can hit the
   interpreter's recursion limit: a deeper search (the square of a path of a
   few thousand vertices) raises ResourceLimitError.
+
+``_independent_sets`` is brute force's whole walk as a generator, the
+reference enumeration that the tests and ``odd_cycle_parity_check`` read.
 """
 
 from __future__ import annotations
@@ -51,8 +48,8 @@ from .graphs import Graph, cycle_graph, is_bipartite
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_TIMEOUT_SECS = 30.0
 # brute force looks up the sets of its top vertices, at most this many, in
-# one table: 2**12 = 4,096 entries, as many sets as walk between clock reads
-_TOP_BITS = 12
+# one table filled on demand: at most 2**14 = 16,384 entries
+_TOP_BITS = 14
 
 METHOD_BRUTEFORCE = "bruteforce"
 METHOD_BRANCH_AND_BOUND = "branch_and_bound"
@@ -134,7 +131,7 @@ def pattern_mono_edges(g: Graph, p: MonoPattern) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration: every independent set (brute force), or every maximal one
+# Enumeration: every independent set (brute force)
 # ---------------------------------------------------------------------------
 
 def _independent_sets(adj: list[int], weights: list[int]) -> Iterator[tuple[int, int]]:
@@ -164,37 +161,57 @@ def _independent_sets(adj: list[int], weights: list[int]) -> Iterator[tuple[int,
             rest &= ~adj[v]
 
 
-def _top_table(adj: list[int], weights: list[int], shift: int) -> list[tuple[int, int, int]]:
-    """For each set m of the vertices from ``shift`` up, at index m >> shift:
+class _TopTable(dict):
+    """For each set m of the vertices from ``shift`` up, at key m >> shift:
     (the count of non-empty independent subsets of m, the highest weight of
     an independent subset, the first one in walk order that reaches it).
 
     With b the lowest vertex of m, the subsets without b are those of m - b,
-    and those with b add b to a subset of m - N[b], so the entries are
-    filled from the highest b down, each from two entries already filled.
-    The sets holding b come first in walk order, so on a tie they win, a
-    zero-weight b too; a highest weight of 0 keeps the empty set.
+    and those with b add b to a subset of m - N[b].  An entry is filled on
+    its first lookup from those two entries, filling any that are missing
+    first on an explicit stack, so a call never recurses and a table holds
+    only the entries its walk reads and what they are built from.  The sets
+    holding b come first in walk order, so on a tie they win, a zero-weight
+    b too; a highest weight of 0 keeps the empty set.
     """
-    size = 1 << (len(adj) - shift)
-    table = [(0, 0, 0)] * size
-    for v in reversed(range(shift, len(adj))):
-        bit = 1 << v - shift
-        weight, keep, member = weights[v], ~adj[v] >> shift, 1 << v
-        # every m whose lowest vertex is v, as m - b
-        for without in range(0, size, bit << 1):
-            sets, gain, first = table[without]
-            inner_sets, inner_gain, inner_first = table[without & keep]
+
+    def __init__(self, adj: list[int], weights: list[int], shift: int):
+        super().__init__({0: (0, 0, 0)})
+        # indexed by the bit_length of b's bit in a key
+        self.steps = [None] + [
+            (weights[v], ~adj[v] >> shift, 1 << v) for v in range(shift, len(adj))
+        ]
+
+    def __missing__(self, key: int) -> tuple[int, int, int]:
+        steps = self.steps
+        stack = [key]
+        while stack:
+            m = stack[-1]
+            bit = m & -m
+            weight, keep, member = steps[bit.bit_length()]
+            without = m ^ bit
+            inner = without & keep
+            below, inside = self.get(without), self.get(inner)
+            if below is None or inside is None:
+                if below is None:
+                    stack.append(without)
+                if inside is None and inner != without:
+                    stack.append(inner)
+                continue
+            stack.pop()
+            sets, gain, first = below
+            inner_sets, inner_gain, inner_first = inside
             inner_gain += weight
             if inner_gain > 0 and inner_gain >= gain:
                 gain, first = inner_gain, inner_first | member
-            table[without | bit] = (1 + sets + inner_sets, gain, first)
-    return table
+            entry = self[m] = (1 + sets + inner_sets, gain, first)
+        return entry
 
 
 def _walk_sets(
     stack: list[tuple[int, int, int]],
     step: list[tuple[int, int] | None],
-    table: list[tuple[int, int, int]],
+    table: _TopTable,
     shift: int,
     best_mask: int,
     best_weight: int,
@@ -208,7 +225,7 @@ def _walk_sets(
     weight of that bit's vertex and the mask that drops its neighbours.
     Once a frame has only vertices from ``shift`` up left to add, the rest
     of its walk is the contiguous block of sets that extend its mask by
-    those vertices alone, and ``table`` (see ``_top_table``) stands for it:
+    those vertices alone, and ``table`` (see ``_TopTable``) stands for it:
     its count, and its first heaviest set where that beats the best.  Keeps
     the first set of the highest weight (strict improvement) and counts
     every set.  Returns (best mask, best weight, sets counted) and leaves
@@ -241,46 +258,6 @@ def _walk_sets(
         if explored >= stop:
             return best_mask, best_weight, explored
     return best_mask, best_weight, explored
-
-
-def _maximal_independent_sets(
-    adj: list[int], weights: list[int]
-) -> Iterator[tuple[int, int]]:
-    """Yield (members_mask, weight) for every maximal independent set of the
-    positive-weight vertices.
-
-    Bron-Kerbosch on the complement with Tomita, Tanaka & Takahashi's pivot
-    (TCS 2006): a frame holds the set so far, the candidates P that may
-    still join it and the vertices X that joined a set already yielded from
-    an earlier sibling.  It branches only on ``P & N[u]`` for the vertex u of
-    ``P | X`` that makes this set smallest, since a maximal set missing all
-    of them would take u.  One bit loop over ``P | X`` finds u; it starts
-    from P and stops once the branch set holds at most one vertex.  At most
-    3^(n/3) sets (Moon & Moser 1965).
-    """
-    closed = [a | 1 << v for v, a in enumerate(adj)]
-    stack = [(0, 0, sum(1 << v for v, w in enumerate(weights) if w > 0), 0)]
-    while stack:
-        members, weight, candidates, excluded = stack.pop()
-        if not candidates:
-            if not excluded:
-                yield members, weight
-            continue
-        branch, size, pool = candidates, candidates.bit_count(), candidates | excluded
-        while pool and size > 1:
-            bit = pool & -pool
-            pool ^= bit
-            trial = candidates & closed[bit.bit_length() - 1]
-            if trial.bit_count() < size:
-                branch, size = trial, trial.bit_count()
-        while branch:
-            bit = branch & -branch
-            branch ^= bit
-            v = bit.bit_length() - 1
-            keep = ~closed[v]
-            stack.append((members | bit, weight + weights[v], candidates & keep, excluded & keep))
-            candidates ^= bit
-            excluded |= bit
 
 
 def _mask_to_ids(mask: int) -> tuple[int, ...]:
@@ -323,11 +300,13 @@ def sparing_bruteforce(
     every set once, the empty set included.  The walk, ``_walk_sets``,
     steps through the sets of all but the top ``min(n // 2, _TOP_BITS)``
     vertices and looks up each block of sets that extends one by top
-    vertices alone in a table built once per call (Horowitz & Sahni 1974).
-    Refuses graphs larger than ``cap`` vertices (a negative cap is a
-    ValueError); while sets remain, reads the clock each time the count
-    passes the next multiple of 4,096 and raises SolverTimeout, with the
-    count reached, once ``timeout_secs`` have passed.
+    vertices alone in one table per call (Horowitz & Sahni 1974), filled
+    on demand: no more than 2**_TOP_BITS = 16,384 entries in all, so no
+    more than that between two clock reads either.  Refuses graphs larger
+    than ``cap`` vertices (a negative cap is a ValueError); while sets
+    remain, reads the clock each time the count passes the next multiple of
+    4,096 and raises SolverTimeout, with the count reached, once
+    ``timeout_secs`` have passed.
     """
     if cap < 0:
         raise ValueError(f"the brute-force cap must be non-negative, got {cap}")
@@ -339,7 +318,7 @@ def sparing_bruteforce(
     deadline = _deadline(timeout_secs)
     degrees, adj = g.degrees(), g.adjacency_masks()
     shift = g.vertex_count - min(g.vertex_count // 2, _TOP_BITS)
-    table = _top_table(adj, degrees, shift)
+    table = _TopTable(adj, degrees, shift)
     # indexed by bit_length: a dict keyed by 1 << v crowds the high bits,
     # whose vertices add most sets, into one hash slot
     step = [None] + [(d, ~a) for d, a in zip(degrees, adj)]
@@ -359,25 +338,6 @@ def sparing_bruteforce(
         explored=explored,
         elapsed_secs=time.monotonic() - start,
     )
-
-
-def sparing_maximal_sets(g: Graph) -> tuple[int, MonoPattern]:
-    """(sparing number, lex-min optimal witness) over the maximal independent
-    sets of the covering vertices.
-
-    With positive weights every optimum is maximal, so the heaviest maximal
-    set is an optimum; on a tie the set holding the lowest vertex where the
-    two differ is lexicographically smaller (distinct maximal sets never
-    contain one another).  Shares nothing with the branch-and-bound engine
-    and has no cap and no time budget.
-    """
-    degrees = g.degrees()
-    best_mask, best_weight = 0, -1
-    for mask, weight in _maximal_independent_sets(g.adjacency_masks(), degrees):
-        differ = mask ^ best_mask
-        if weight > best_weight or (weight == best_weight and mask & differ & -differ):
-            best_mask, best_weight = mask, weight
-    return g.edge_count - best_weight, _lex_min_witness(best_mask, degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .solver import (
     SolverTimeout,
     min_mono_vertices,
     pattern_mono_edges,
+    sparing_bruteforce,
     sparing_exact,
-    sparing_maximal_sets,
 )
 
 DEFAULT_AUDIT_VERTEX_CAP = 34
@@ -457,10 +457,9 @@ def _sparing_row(
     in signature order; a timeout there yields a row of ``known`` alone.
     The closed form is evaluated before ``build`` runs, so a parameter
     outside its domain raises the closed form's message, not the builder's.
-    A graph within the audit cap is solved again, unbudgeted, by
-    enumerating its maximal independent sets; that value keeps the name
-    ``bruteforce_value``, and a value or witness unlike the exact solver's
-    raises RuntimeError (a solver defect).
+    A graph within the audit cap is solved again, unbudgeted, by brute
+    force; that value is ``bruteforce_value``, and a value or witness unlike
+    the exact solver's raises RuntimeError (a solver defect).
     """
     try:
         args = {
@@ -480,11 +479,12 @@ def _sparing_row(
     bruteforce_value = None
     if graph.vertex_count <= DEFAULT_AUDIT_VERTEX_CAP:
         # no budget: bipartite rows get here even at timeout 0, as the all-timeout digests pin
-        bruteforce_value, witness = sparing_maximal_sets(graph)
-        if bruteforce_value != result.value or witness != result.witness:
+        brute = sparing_bruteforce(graph, cap=graph.vertex_count)
+        bruteforce_value = brute.value
+        if brute.value != result.value or brute.witness != result.witness:
             raise RuntimeError(
-                f"solver defect: maximal sets ({bruteforce_value}, "
-                f"{witness.sorted_ids()}) != exact ({result.value}, "
+                f"solver defect: brute force ({brute.value}, "
+                f"{brute.witness.sorted_ids()}) != exact ({result.value}, "
                 f"{result.witness.sorted_ids()}) on params {params}"
             )
     return TheoremRow(
@@ -556,12 +556,12 @@ def check_theorem(
     """Audit one registry entry over its default (or given) parameter points.
 
     Every row holds the closed-form value and the exact optimum; instances
-    within the audit cap are recomputed by enumerating their maximal
-    independent sets, and a disagreement between the two exact methods
-    raises (a solver defect, not a finding).  ``m_values``/``n_values``
-    replace the default ranges of the grid ids (m and n of the six simple
-    corona families, n of COMPLETE); any other range raises ValueError, and
-    an out-of-domain point the closed form's FormulaDomainError.
+    within the audit cap are recomputed by brute force, and a disagreement
+    between the two exact methods raises (a solver defect, not a finding).
+    ``m_values``/``n_values`` replace the default ranges of the grid ids (m
+    and n of the six simple corona families, n of COMPLETE); any other range
+    raises ValueError, and an out-of-domain point the closed form's
+    FormulaDomainError.
     ``max_vertices`` bounds only the EC_RR, EC_RS and EC_RK products.
     """
     entry = REGISTRY.get(theorem_id)

@@ -11,8 +11,9 @@ from weakiasi import (
     InvalidPatternError,
     MonoPattern,
     SolverTimeout,
+    THEOREM_IDS,
+    check_theorem,
     cli,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     edge_corona,
@@ -29,12 +30,7 @@ from weakiasi import (
 )
 from weakiasi import solver
 from weakiasi.graph_io import write_edge_list
-from weakiasi.solver import (
-    _MaxWeightEngine,
-    _independent_sets,
-    _maximal_independent_sets,
-    sparing_maximal_sets,
-)
+from weakiasi.solver import _MaxWeightEngine, _independent_sets, _TopTable
 
 from helpers import bipartite_graphs, graphs, path_square, seeded_graphs
 
@@ -138,7 +134,7 @@ def test_enumeration_matches_recursive_reference(g, unit_weights):
 # the optimum {4, 5, 6, 7} comes from the table alone
 @example(Graph(8, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
                + tuple((v, t) for v in range(4) for t in range(4, 8))))
-# 58,425 sets on 28 vertices: 16 walked vertices below a 12-vertex table
+# 58,425 sets on 28 vertices: 14 walked vertices below a 14-vertex table
 @example(path_square(28))
 def test_bruteforce_folds_the_reference_enumeration(g):
     # the first strict maximum over the reference order, every set counted
@@ -151,6 +147,88 @@ def test_bruteforce_folds_the_reference_enumeration(g):
     assert result.value == g.edge_count - best_weight
     assert result.witness == MonoPattern(frozenset(solver._mask_to_ids(best_mask)))
     assert result.explored == explored
+
+
+def eager_top_table(adj, weights, shift):
+    """Brute force's top table as first built: all 2**(n - shift) entries,
+    those whose lowest vertex is v filled from the highest v down."""
+    size = 1 << (len(adj) - shift)
+    table = [(0, 0, 0)] * size
+    for v in reversed(range(shift, len(adj))):
+        bit = 1 << v - shift
+        weight, keep, member = weights[v], ~adj[v] >> shift, 1 << v
+        for without in range(0, size, bit << 1):
+            sets, gain, first = table[without]
+            inner_sets, inner_gain, inner_first = table[without & keep]
+            inner_gain += weight
+            if inner_gain > 0 and inner_gain >= gain:
+                gain, first = inner_gain, inner_first | member
+            table[without | bit] = (1 + sets + inner_sets, gain, first)
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graphs(max_vertices=12),
+    st.lists(st.integers(0, 2), min_size=12, max_size=12),
+    st.integers(0, 12),
+    st.lists(st.integers(0, 4095), max_size=8),
+)
+# the whole set read first: all it is built from is filled on one stack
+@example(path_square(12), [2] * 12, 0, [4095])
+# zero-weight top vertices: ties go to the sets holding the lowest vertex
+@example(Graph(6, ((0, 5), (2, 3))), [0, 1, 0, 0, 2, 0] + [0] * 6, 2, [15, 5])
+def test_lazy_top_table_matches_the_eager_recurrence(g, weights, shift, keys):
+    # weights 0-2, so zero-weight vertices and ties occur; the drawn keys are
+    # read first, into a table still empty, then every entry in order
+    n = g.vertex_count
+    weights, shift = weights[:n], min(shift, n)
+    adj = g.adjacency_masks()
+    eager = eager_top_table(adj, weights, shift)
+    table = _TopTable(adj, weights, shift)
+    for key in [key % len(eager) for key in keys] + list(range(len(eager))):
+        assert table[key] == eager[key]
+    assert len(table) == len(eager)
+
+
+def recorded_top_tables(monkeypatch):
+    """Every top table brute force makes from now on, in call order."""
+    tables = []
+
+    class Recording(_TopTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(solver, "_TopTable", Recording)
+    return tables
+
+
+@pytest.mark.parametrize(
+    ("g", "filled"),
+    [
+        # 28 vertices: of 16,384 entries a 14-vertex table could hold, the
+        # walk reads the sets left beside its last low vertices
+        pytest.param(path_square(28), 15, id="P28^2"),
+        # 55 vertices, 60,699,456 sets: 41 walked below a 14-vertex table
+        pytest.param(edge_corona(complete_graph(5), complete_graph(5))[0], 24, id="K5<>K5"),
+    ],
+)
+def test_bruteforce_fills_only_the_table_entries_it_reads(monkeypatch, g, filled):
+    tables = recorded_top_tables(monkeypatch)
+    sparing_bruteforce(g, cap=g.vertex_count)
+    assert [len(table) for table in tables] == [filled]
+
+
+def test_no_call_fills_more_than_the_table_cap(monkeypatch):
+    # every brute-force cross-check of the default audit, and 14 edges
+    # i-(i + 14), whose walk reads every entry of a full 14-vertex table
+    tables = recorded_top_tables(monkeypatch)
+    for theorem_id in THEOREM_IDS:
+        check_theorem(theorem_id)
+    sparing_bruteforce(Graph(28, tuple((i, i + 14) for i in range(14))), cap=28)
+    assert len(tables) > 100
+    assert max(len(table) for table in tables) == 1 << solver._TOP_BITS
 
 
 def test_bruteforce_k4():
@@ -183,7 +261,8 @@ def test_bruteforce_counts_every_independent_set_once(family, n, sets):
 
 
 def test_bruteforce_on_triangles_past_the_table_limit():
-    # 30 vertices: a table of the top 12 (four triangles), six walked below
+    # 30 vertices: a table of the top 14 (four triangles and two vertices of
+    # a fifth), 16 walked below
     result = sparing_bruteforce(disjoint_triangles(10), cap=30)
     assert result.value == 10
     assert result.witness.sorted_ids() == tuple(range(0, 30, 3))
@@ -260,10 +339,17 @@ def test_witness_determinism():
     assert first.explored == second.explored
 
 
-@settings(max_examples=120, deadline=None)
-@given(graphs(max_vertices=10))
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=14))
+@example(Graph(0))
+@example(Graph(14))
+@example(complete_graph(1))
+@example(complete_graph(14))
 # a triangle on 1, 2, 3: isolated 0 joins the witness, isolated 4 does not
 @example(Graph(5, ((1, 2), (1, 3), (2, 3))))
+# triangles 0-2-3 and 3-5-6 tie five optima; the lex-min {0, 5} takes the
+# isolated 1 and 4 between its vertices and leaves 7 out
+@example(Graph(8, ((0, 2), (2, 3), (0, 3), (3, 5), (5, 6), (6, 3))))
 def test_exact_matches_bruteforce(g):
     brute = sparing_bruteforce(g)
     exact = sparing_exact(g)
@@ -378,7 +464,6 @@ def test_exact_matches_bruteforce_where_the_bound_prunes(monkeypatch):
         exact = sparing_exact(g)
         pruned += any(failed_low)
         assert (exact.value, exact.witness) == (brute.value, brute.witness)
-        assert sparing_maximal_sets(g) == (brute.value, brute.witness)
         size, members = masked_optimum(g, [1] * g.vertex_count, (1 << g.vertex_count) - 1)
         assert max_independent_set(g) == (size, solver._mask_to_ids(members))
     assert pruned >= 20
@@ -390,59 +475,6 @@ def test_path_square_matches_bruteforce(n):
     brute = sparing_bruteforce(g)
     exact = sparing_exact(g)
     assert (exact.value, exact.witness) == (brute.value, brute.witness)
-
-
-# ---------------------------------------------------------------------------
-# Maximal independent sets: the audit's cross-check
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=150, deadline=None)
-@given(graphs(max_vertices=14))
-@example(Graph(0))
-@example(Graph(14))
-@example(complete_graph(1))
-@example(complete_graph(14))
-# a triangle on 1, 2, 3: isolated 0 lies below the witness and joins it,
-# isolated 4 lies above it and does not
-@example(Graph(5, ((1, 2), (1, 3), (2, 3))))
-# triangles 0-2-3 and 3-5-6 tie five optima; the lex-min {0, 5} takes the
-# isolated 1 and 4 between its vertices and leaves 7 out
-@example(Graph(8, ((0, 2), (2, 3), (0, 3), (3, 5), (5, 6), (6, 3))))
-def test_maximal_sets_match_bruteforce(g):
-    brute = sparing_bruteforce(g)
-    assert sparing_maximal_sets(g) == (brute.value, brute.witness)
-
-
-def assert_enumerates_maximal_sets(adj, weights):
-    """The enumerator yields, once each, exactly the independent sets of the
-    positive-weight vertices that no positive-weight vertex can extend."""
-    positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
-    expected = {
-        (mask, weight)
-        for mask, weight in _independent_sets(adj, weights)
-        if not mask & ~positive
-        and all(adj[u] & mask for u in solver._mask_to_ids(positive & ~mask))
-    }
-    found = list(_maximal_independent_sets(adj, weights))
-    assert len(found) == len(set(found))
-    assert set(found) == expected
-
-
-@settings(max_examples=150, deadline=None)
-@given(graphs(max_vertices=10), st.lists(st.integers(0, 2), min_size=10, max_size=10))
-@example(Graph(0), [1] * 10)
-@example(Graph(4), [0, 1, 0, 2] + [0] * 6)
-@example(complete_graph(5), [2, 0, 2, 1, 0] + [0] * 5)
-def test_maximal_sets_are_the_unextendable_independent_sets(g, weights):
-    # zero weights also on vertices with neighbours: those stay out of every set
-    assert_enumerates_maximal_sets(g.adjacency_masks(), weights[: g.vertex_count])
-
-
-def test_maximal_sets_are_the_unextendable_independent_sets_on_a_seeded_suite():
-    # sparse graphs of 6-10 vertices, where a set whose only extension is an
-    # earlier sibling of the branch shows up
-    for g in seeded_graphs(300, max_vertices=10, seed=3, min_vertices=6, p_choices=(0.2, 0.3, 0.4)):
-        assert_enumerates_maximal_sets(g.adjacency_masks(), [1] * g.vertex_count)
 
 
 def disjoint_cliques(k, size):
@@ -462,37 +494,6 @@ def disjoint_cycles(k, size):
         k * size,
         tuple((size * i + a, size * i + (a + 1) % size) for i in range(k) for a in range(size)),
     )
-
-
-def assert_yields_maximal_sets_once(g, count):
-    """Unit weights: exactly ``count`` distinct sets, each independent and
-    dominating (so maximal)."""
-    adj = g.adjacency_masks()
-    everyone = (1 << g.vertex_count) - 1
-    found = [mask for mask, _weight in _maximal_independent_sets(adj, [1] * g.vertex_count)]
-    assert len(found) == len(set(found)) == count
-    for mask in found:
-        covered = mask
-        for v in solver._mask_to_ids(mask):
-            assert not adj[v] & mask
-            covered |= adj[v]
-        assert covered == everyone
-
-
-@pytest.mark.parametrize(
-    ("g", "sets"),
-    [
-        # the Perrin number P(n) on the cycle C_n
-        *(pytest.param(cycle_graph(n), sets, id=f"C{n}")
-          for n, sets in ((3, 3), (4, 2), (5, 5), (10, 17), (20, 277), (40, 76_725))),
-        # 3^k on k disjoint triangles: one vertex from each
-        *(pytest.param(disjoint_triangles(k), 3 ** k, id=f"{k}K3") for k in (1, 2, 5)),
-        # 2 on K_{a,b}: one whole side or the other
-        *(pytest.param(complete_bipartite_graph(a, b), 2, id=f"K{a},{b}") for a, b in ((1, 1), (2, 5), (7, 3))),
-    ],
-)
-def test_maximal_set_counts_in_closed_form(g, sets):
-    assert_yields_maximal_sets_once(g, sets)
 
 
 def pendant_heavy_graphs(count, seed):
