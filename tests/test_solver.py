@@ -477,6 +477,69 @@ def test_path_square_matches_bruteforce(n):
     assert (exact.value, exact.witness) == (brute.value, brute.witness)
 
 
+# ---------------------------------------------------------------------------
+# Maximal independent sets: every optimum is one
+# ---------------------------------------------------------------------------
+
+def heaviest_maximal_set(adj, weights):
+    """(weight, mask) of the first heaviest set, in the reference walk's
+    order, among the independent sets of the positive-weight vertices that
+    no positive-weight vertex extends.
+
+    Every optimum is such a set (a vertex that extends it adds weight), so
+    this is the lexicographically smallest optimum over positive vertices.
+    """
+    positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
+    best_weight, best_mask = -1, 0
+    for mask, weight in _independent_sets(adj, weights):
+        if (
+            weight > best_weight
+            and not mask & ~positive
+            and all(adj[u] & mask for u in solver._mask_to_ids(positive & ~mask))
+        ):
+            best_weight, best_mask = weight, mask
+    return best_weight, best_mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=14))
+@example(Graph(0))
+@example(Graph(14))
+@example(complete_graph(1))
+@example(complete_graph(14))
+# a triangle on 1, 2, 3: isolated 0 lies below the witness and joins it,
+# isolated 4 lies above it and does not
+@example(Graph(5, ((1, 2), (1, 3), (2, 3))))
+# triangles 0-2-3 and 3-5-6 tie five optima; the lex-min {0, 5} takes the
+# isolated 1 and 4 between its vertices and leaves 7 out
+@example(Graph(8, ((0, 2), (2, 3), (0, 3), (3, 5), (5, 6), (6, 3))))
+def test_maximal_sets_match_bruteforce(g):
+    degrees = g.degrees()
+    weight, mask = heaviest_maximal_set(g.adjacency_masks(), degrees)
+    brute = sparing_bruteforce(g)
+    assert (g.edge_count - weight, solver._lex_min_witness(mask, degrees)) == (brute.value, brute.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=10), st.lists(st.integers(0, 2), min_size=10, max_size=10))
+@example(Graph(0), [1] * 10)
+@example(Graph(4), [0, 1, 0, 2] + [0] * 6)
+@example(complete_graph(5), [2, 0, 2, 1, 0] + [0] * 5)
+def test_maximal_sets_are_the_unextendable_independent_sets(g, weights):
+    # zero weights also on vertices with neighbours: the search leaves those
+    # out, so its optimum is the heaviest unextendable set of the rest
+    weights = weights[: g.vertex_count]
+    best, members, _explored = solver._solve_max_weight(g, weights, None)
+    assert (best, members) == heaviest_maximal_set(g.adjacency_masks(), weights)
+
+
+def test_maximal_sets_are_the_unextendable_independent_sets_on_a_seeded_suite():
+    # sparse graphs of 6-10 vertices, many maximal sets each, unit weights
+    for g in seeded_graphs(300, max_vertices=10, seed=3, min_vertices=6, p_choices=(0.2, 0.3, 0.4)):
+        size, members = heaviest_maximal_set(g.adjacency_masks(), [1] * g.vertex_count)
+        assert max_independent_set(g) == (size, solver._mask_to_ids(members))
+
+
 def disjoint_cliques(k, size):
     """k disjoint copies of K_size, the i-th on vertices size*i .. size*i + size - 1."""
     return Graph(
