@@ -41,7 +41,6 @@ from .setlabels import (
     verify,
 )
 from .solver import (
-    CapExceededError,
     InvalidPatternError,
     MonoPattern,
     ResourceLimitError,

@@ -1,10 +1,10 @@
 """Command-line surface: generation, corona products, solving, labeling,
 verification, and the theorem audit.
 
-Exit codes: 0 success, 2 malformed input, 3 resource limit (cap or
-timeout, or an unresolved audit row), 4 internal failure (a labeling
-that fails certification, or any other defect); each failure is one
-``error:`` line on standard error.
+Exit codes: 0 success, 2 malformed input, 3 resource limit (a timeout,
+the recursion limit, or an unresolved audit row), 4 internal failure (a
+labeling that fails certification, or any other defect); each failure is
+one ``error:`` line on standard error.
 JSON goes to standard output; human-readable tables go to standard error
 under --verbose.  All output is deterministic except ``elapsed_secs``
 fields.
@@ -25,7 +25,6 @@ from .graphs import FAMILIES, Graph, edge_corona, generate, gnp_random_graph
 from .labeler import construct_optimal, construct_weak_iasi
 from .setlabels import VertexLabeling, verify
 from .solver import (
-    DEFAULT_BRUTE_CAP,
     DEFAULT_TIMEOUT_SECS,
     MonoPattern,
     ResourceLimitError,
@@ -125,15 +124,15 @@ def _cmd_corona(args: argparse.Namespace) -> int:
     return EX_OK
 
 
+# each --method: its solver and the unit of the result's ``explored`` count
+_SPARING_METHODS = {"exact": (sparing_exact, "nodes"), "bruteforce": (sparing_bruteforce, "sets")}
+
+
 def _cmd_sparing(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.graph)
-    if args.method == "bruteforce":
-        result = sparing_bruteforce(graph, cap=args.cap, timeout_secs=args.timeout_secs)
-    else:
-        result = sparing_exact(graph, timeout_secs=args.timeout_secs)
+    solve, unit = _SPARING_METHODS[args.method]
+    result = solve(_read_graph(args.graph), args.timeout_secs)
     emit_json(result.to_json_dict())
     if args.verbose:
-        unit = "sets" if args.method == "bruteforce" else "nodes"
         print(
             f"sparing number {result.value} via {result.method}, {result.explored} {unit}",
             file=sys.stderr,
@@ -222,9 +221,8 @@ def build_parser() -> ArgumentParser:
     p = sub.add_parser("sparing", help="exact sparing number of a graph")
     p.set_defaults(handler=_cmd_sparing)
     p.add_argument("--graph", required=True)
-    p.add_argument("--method", choices=["exact", "bruteforce"], default="exact")
+    p.add_argument("--method", choices=list(_SPARING_METHODS), default="exact")
     p.add_argument("--timeout-secs", type=float, default=DEFAULT_TIMEOUT_SECS)
-    p.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP)
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("label", help="construct a verified weak set-indexer")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import inspect
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -45,12 +44,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        i = bisect_left(self.edges, (u, v))
-        return i < len(self.edges) and self.edges[i] == (u, v)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.vertex_count

@@ -479,7 +479,7 @@ def _sparing_row(
     bruteforce_value = None
     if graph.vertex_count <= DEFAULT_AUDIT_VERTEX_CAP:
         # no budget: bipartite rows get here even at timeout 0, as the all-timeout digests pin
-        brute = sparing_bruteforce(graph, cap=graph.vertex_count)
+        brute = sparing_bruteforce(graph, timeout_secs=None)
         bruteforce_value = brute.value
         if brute.value != result.value or brute.witness != result.witness:
             raise RuntimeError(

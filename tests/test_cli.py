@@ -165,23 +165,15 @@ def test_subcommand_help_exits_0(capsys):
     assert captured.err == ""
 
 
-def test_sparing_cap_exceeded_exits_3(tmp_path, capsys):
+def test_sparing_bruteforce_past_24_vertices_answers(tmp_path, capsys):
+    # brute force has no vertex cap: G(30, .3, 1) gets the exact route's answer
     graph = write_graph(tmp_path, "big.txt", "random", "30", "--seed", "1")
-    code, _, err = run(
-        capsys, "sparing", "--graph", graph, "--method", "bruteforce", "--cap", "24"
-    )
-    assert code == 3
-    assert "cap" in err
-
-
-def test_sparing_negative_cap_exits_2(tmp_path, capsys):
-    graph = write_graph(tmp_path, "p3.txt", "path", "3")
-    code, out, err = run(
-        capsys, "sparing", "--graph", graph, "--method", "bruteforce", "--cap", "-1"
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "error: the brute-force cap must be non-negative, got -1\n"
+    code, out, err = run(capsys, "sparing", "--graph", graph, "--method", "bruteforce")
+    assert (code, err) == (0, "")
+    code, exact_out, _ = run(capsys, "sparing", "--graph", graph)
+    assert code == 0
+    brute, exact = json.loads(out), json.loads(exact_out)
+    assert (brute["value"], brute["witness"]) == (exact["value"], exact["witness"])
 
 
 def test_sparing_timeout_exits_3(tmp_path, capsys):
@@ -244,7 +236,7 @@ def test_bruteforce_timeout_exits_3(tmp_path, capsys):
     graph.write_text("300\n")
     code, out, err = run(
         capsys, "sparing", "--graph", str(graph), "--method", "bruteforce",
-        "--cap", "300", "--timeout-secs", "0.5",
+        "--timeout-secs", "0.5",
     )
     assert code == 3
     assert out == ""
@@ -252,7 +244,7 @@ def test_bruteforce_timeout_exits_3(tmp_path, capsys):
     assert err.endswith(" sets\n")
     assert err.count("\n") == 1
     # the clock is read each time the count passes the next multiple of
-    # 4,096; the walk of the 288 vertices below the table cannot finish
+    # 4,096; the walk of the 286 vertices below the table cannot finish
     sets = int(err.removeprefix("error: enumeration exceeded its time budget after ").split()[0])
     assert sets >= 4096
 
@@ -524,7 +516,8 @@ def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatc
     def broken(*_args, **_kwargs):
         raise RuntimeError("solver defect")
 
-    monkeypatch.setattr(cli, "sparing_exact", broken)
+    # the method table holds the solver it calls
+    monkeypatch.setitem(cli._SPARING_METHODS, "exact", (broken, "nodes"))
     code, out, err = run(capsys, "sparing", "--graph", graph)
     assert code == 4
     assert out == ""

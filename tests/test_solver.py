@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakiasi import (
-    CapExceededError,
     Graph,
     InvalidPatternError,
     MonoPattern,
@@ -143,7 +142,7 @@ def test_bruteforce_folds_the_reference_enumeration(g):
         explored += 1
         if weight > best_weight:
             best_mask, best_weight = mask, weight
-    result = sparing_bruteforce(g, cap=g.vertex_count)
+    result = sparing_bruteforce(g)
     assert result.value == g.edge_count - best_weight
     assert result.witness == MonoPattern(frozenset(solver._mask_to_ids(best_mask)))
     assert result.explored == explored
@@ -216,7 +215,7 @@ def recorded_top_tables(monkeypatch):
 )
 def test_bruteforce_fills_only_the_table_entries_it_reads(monkeypatch, g, filled):
     tables = recorded_top_tables(monkeypatch)
-    sparing_bruteforce(g, cap=g.vertex_count)
+    sparing_bruteforce(g)
     assert [len(table) for table in tables] == [filled]
 
 
@@ -226,7 +225,7 @@ def test_no_call_fills_more_than_the_table_cap(monkeypatch):
     tables = recorded_top_tables(monkeypatch)
     for theorem_id in THEOREM_IDS:
         check_theorem(theorem_id)
-    sparing_bruteforce(Graph(28, tuple((i, i + 14) for i in range(14))), cap=28)
+    sparing_bruteforce(Graph(28, tuple((i, i + 14) for i in range(14))))
     assert len(tables) > 100
     assert max(len(table) for table in tables) == 1 << solver._TOP_BITS
 
@@ -250,7 +249,7 @@ def test_bruteforce_k4():
         ("cycle", 3, 4), ("cycle", 4, 7), ("cycle", 11, 199), ("cycle", 20, 15_127),
         # n + 1 on K_n
         ("complete", 1, 2), ("complete", 5, 6), ("complete", 20, 21),
-        # at the cap, where the top 12 vertices are looked up in one table
+        # 24 vertices, the top 12 looked up in one table
         ("path", 24, 121_393), ("cycle", 24, 103_682), ("complete", 24, 25),
     ],
 )
@@ -263,10 +262,26 @@ def test_bruteforce_counts_every_independent_set_once(family, n, sets):
 def test_bruteforce_on_triangles_past_the_table_limit():
     # 30 vertices: a table of the top 14 (four triangles and two vertices of
     # a fifth), 16 walked below
-    result = sparing_bruteforce(disjoint_triangles(10), cap=30)
+    result = sparing_bruteforce(disjoint_triangles(10))
     assert result.value == 10
     assert result.witness.sorted_ids() == tuple(range(0, 30, 3))
     assert result.explored == 4 ** 10
+
+
+@pytest.mark.parametrize(
+    ("g", "sets"),
+    [
+        pytest.param(gnp_random_graph(30, 0.3, 1), 10_606, id="G(30,.3,1)"),
+        pytest.param(cycle_graph(31), 3_010_349, id="C31"),
+        pytest.param(gnp_random_graph(40, 0.1, 1), 30_702_768, id="G(40,.1,1)"),
+        pytest.param(edge_corona(complete_graph(5), complete_graph(5))[0], 60_699_456, id="K5<>K5"),
+    ],
+)
+def test_bruteforce_matches_exact_past_24_vertices(g, sets):
+    # no vertex cap: each finishes well inside the default budget
+    brute, exact = sparing_bruteforce(g), sparing_exact(g)
+    assert (brute.value, brute.witness) == (exact.value, exact.witness)
+    assert brute.explored == sets
 
 
 def test_bruteforce_even_cycle_is_zero():
@@ -280,23 +295,18 @@ def test_bruteforce_c5():
 
 
 def test_bruteforce_cap():
-    with pytest.raises(CapExceededError):
-        sparing_bruteforce(Graph(25))
-    assert sparing_bruteforce(Graph(25), cap=25).value == 0
+    # no vertex cap: 2**25 sets on 25 isolated vertices, in the default budget
+    result = sparing_bruteforce(Graph(25))
+    assert (result.value, result.explored) == (0, 33_554_432)
 
 
 def test_bruteforce_reads_the_clock_every_4096_sets():
     # the 4,096 sets holding vertex 0 end with a table lookup of the 63
     # non-empty subsets of the top six vertices, which passes 4,096 at 4,097
     with pytest.raises(SolverTimeout, match=r"^enumeration exceeded its time budget after 4097 sets$"):
-        sparing_bruteforce(Graph(13), cap=13, timeout_secs=0.0)
+        sparing_bruteforce(Graph(13), timeout_secs=0.0)
     # 377 sets end before the first clock read
     assert sparing_bruteforce(path_graph(12), timeout_secs=0.0).value == 0
-
-
-def test_bruteforce_negative_cap_is_malformed():
-    with pytest.raises(ValueError, match="must be non-negative, got -1"):
-        sparing_bruteforce(path_graph(3), cap=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +943,7 @@ def test_odd_cycle_parity(n):
 def test_odd_cycle_parity_preconditions():
     with pytest.raises(ValueError):
         odd_cycle_parity_check(2)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ValueError):
         odd_cycle_parity_check(30)
 
 
