@@ -65,7 +65,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _read_json(path: str) -> object:
-    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_labeling(path: str) -> VertexLabeling:

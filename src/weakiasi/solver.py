@@ -11,11 +11,13 @@ Two exact methods are provided and must agree (value and witness):
 * ``sparing_bruteforce`` enumerates every independent set, in lexicographic
   order of the sorted vertex sequence, under the same time budget as
   ``sparing_exact`` and no vertex limit, and keeps the first optimum - the
-  lexicographically smallest optimal witness.  It walks the sets of all
-  but its top vertices in one loop, ``_walk_sets``, and accounts for each
-  block of sets that extends one by top vertices alone with one entry of a
-  table over the top vertices' subsets (``_TopTable``, filled on demand),
-  a meet-in-the-middle split.  It cross-checks the theorem audit's rows.
+  lexicographically smallest optimal witness.  It walks the sets of the
+  vertices below its top ones, the top ``_TOP_BITS`` vertices or all of
+  them, in one loop, ``_walk_sets``, and accounts for each block of sets
+  that extends one by top vertices alone with one entry of a table over
+  the top vertices' subsets (``_TopTable``, filled on demand), so a graph
+  of at most ``_TOP_BITS`` vertices is a single lookup.  It cross-checks
+  the theorem audit's rows.
 
 * ``sparing_exact`` answers a bipartite graph without a search (value 0,
   witness read off the 2-colouring ``is_bipartite`` returns) and solves any
@@ -159,57 +161,42 @@ def _independent_sets(adj: list[int], weights: list[int]) -> Iterator[tuple[int,
 
 
 class _TopTable(dict):
-    """For each set m of the vertices from ``shift`` up, at key m >> shift:
-    (the count of non-empty independent subsets of m, the highest weight of
-    an independent subset, the first one in walk order that reaches it).
+    """For each set m of top vertices, keyed by its mask: (the count of
+    non-empty independent subsets of m, the highest weight of an independent
+    subset, the first one in walk order that reaches it).
 
-    With b the lowest vertex of m, the subsets without b are those of m - b,
-    and those with b add b to a subset of m - N[b].  An entry is filled on
-    its first lookup from those two entries, filling any that are missing
-    first on an explicit stack, so a call never recurses and a table holds
-    only the entries its walk reads and what they are built from.  The sets
-    holding b come first in walk order, so on a tie they win, a zero-weight
-    b too; a highest weight of 0 keeps the empty set.
+    ``step[bit.bit_length()]`` holds the weight of that bit's vertex and the
+    mask that drops its neighbours, as the walk reads it.  With b the lowest
+    vertex of m, the subsets without b are those of m - b, and those with b
+    add b to a subset of m - N[b].  An entry is filled on its first lookup
+    from those two entries, so a table holds only the entries its walk
+    reads and what they are built from, and a fill recurses once per vertex
+    of m, no deeper than the ``_TOP_BITS`` top vertices.  The sets holding b
+    come first in walk order, so on a tie they win, a zero-weight b too; a
+    highest weight of 0 keeps the empty set.
     """
 
-    def __init__(self, adj: list[int], weights: list[int], shift: int):
+    def __init__(self, step: list[tuple[int, int] | None]):
         super().__init__({0: (0, 0, 0)})
-        # indexed by the bit_length of b's bit in a key
-        self.steps = [None] + [
-            (weights[v], ~adj[v] >> shift, 1 << v) for v in range(shift, len(adj))
-        ]
+        self.step = step
 
-    def __missing__(self, key: int) -> tuple[int, int, int]:
-        steps = self.steps
-        stack = [key]
-        while stack:
-            m = stack[-1]
-            bit = m & -m
-            weight, keep, member = steps[bit.bit_length()]
-            without = m ^ bit
-            inner = without & keep
-            below, inside = self.get(without), self.get(inner)
-            if below is None or inside is None:
-                if below is None:
-                    stack.append(without)
-                if inside is None and inner != without:
-                    stack.append(inner)
-                continue
-            stack.pop()
-            sets, gain, first = below
-            inner_sets, inner_gain, inner_first = inside
-            inner_gain += weight
-            if inner_gain > 0 and inner_gain >= gain:
-                gain, first = inner_gain, inner_first | member
-            entry = self[m] = (1 + sets + inner_sets, gain, first)
+    def __missing__(self, m: int) -> tuple[int, int, int]:
+        bit = m & -m
+        weight, keep = self.step[bit.bit_length()]
+        without = m ^ bit
+        sets, gain, first = self[without]
+        inner_sets, inner_gain, inner_first = self[without & keep]
+        inner_gain += weight
+        if inner_gain > 0 and inner_gain >= gain:
+            gain, first = inner_gain, inner_first | bit
+        entry = self[m] = (1 + sets + inner_sets, gain, first)
         return entry
 
 
 def _walk_sets(
     stack: list[tuple[int, int, int]],
-    step: list[tuple[int, int] | None],
     table: _TopTable,
-    shift: int,
+    low: int,
     best_mask: int,
     best_weight: int,
     explored: int,
@@ -218,15 +205,14 @@ def _walk_sets(
     multiple of 4,096 sets.
 
     The walk of ``_independent_sets`` in one loop with no call per set, over
-    the vertices below ``shift``: ``step[bit.bit_length()]`` holds the
-    weight of that bit's vertex and the mask that drops its neighbours.
-    Once a frame has only vertices from ``shift`` up left to add, the rest
-    of its walk is the contiguous block of sets that extend its mask by
-    those vertices alone, and ``table`` (see ``_TopTable``) stands for it:
-    its count, and its first heaviest set where that beats the best.  Keeps
-    the first set of the highest weight (strict improvement) and counts
-    every set.  Returns (best mask, best weight, sets counted) and leaves
-    the frames still to walk on ``stack``.
+    the vertices of the mask ``low``, stepping by ``table.step``.  Once a
+    frame has only top vertices left to add, the rest of its walk is the
+    contiguous block of sets that extend its mask by those vertices alone,
+    and ``table`` (see ``_TopTable``) stands for it: its count, and its
+    first heaviest set where that beats the best.  Keeps the first set of
+    the highest weight (strict improvement) and counts every set.  Returns
+    (best mask, best weight, sets counted) and leaves the frames still to
+    walk on ``stack``.
 
     The caller reads the clock between calls.  Returning every 4,096 sets
     instead of running the loop inline in ``sparing_bruteforce`` makes a
@@ -236,7 +222,7 @@ def _walk_sets(
     process took about 0.31 s chunked against 0.50 s inline; after about
     ten calls the two ran alike (CPU time, Python 3.11.7, 2-core Xeon).
     """
-    low = (1 << shift) - 1
+    step = table.step
     stop = (explored | 4095) + 1
     while stack:
         rest, mask, weight = stack.pop()
@@ -256,7 +242,7 @@ def _walk_sets(
                 if rest:
                     stack.append((rest, mask, weight))
                 return best_mask, best_weight, explored
-        sets, gain, first = table[rest >> shift]
+        sets, gain, first = table[rest]
         explored += sets
         if weight + gain > best_weight:
             best_mask, best_weight = mask | first, weight + gain
@@ -303,11 +289,12 @@ def sparing_bruteforce(
     them and keeps the lexicographically smallest optimal non-mono set
     (strict improvement over the lex-ordered walk); ``explored`` counts
     every set once, the empty set included.  The walk, ``_walk_sets``,
-    steps through the sets of all but the top ``min(n // 2, _TOP_BITS)``
-    vertices and looks up each block of sets that extends one by top
-    vertices alone in one table per call (Horowitz & Sahni 1974), filled
-    on demand: no more than 2**_TOP_BITS = 16,384 entries in all, so no
-    more than that between two clock reads either.  No vertex count is
+    steps through the sets of the vertices below the top ones, the top
+    ``_TOP_BITS`` vertices or all of them, and looks up each block of sets
+    that extends one by top vertices alone in one table per call, filled on
+    demand: no more than 2**_TOP_BITS = 16,384 entries in all, so no more
+    than that between two clock reads either, and a graph of at most
+    ``_TOP_BITS`` vertices is a single lookup.  No vertex count is
     refused: the budget is the bound, as on the exact route.  While sets
     remain, reads the clock each time the count passes the next multiple of
     4,096 and raises SolverTimeout, with the count reached, once
@@ -316,17 +303,16 @@ def sparing_bruteforce(
     start = time.monotonic()
     deadline = _deadline(timeout_secs)
     degrees, adj = g.degrees(), g.adjacency_masks()
-    shift = g.vertex_count - min(g.vertex_count // 2, _TOP_BITS)
-    table = _TopTable(adj, degrees, shift)
     # indexed by bit_length: a dict keyed by 1 << v crowds the high bits,
     # whose vertices add most sets, into one hash slot
-    step = [None] + [(d, ~a) for d, a in zip(degrees, adj)]
+    table = _TopTable([None] + [(d, ~a) for d, a in zip(degrees, adj)])
+    low = (1 << max(g.vertex_count - _TOP_BITS, 0)) - 1
     stack = [((1 << g.vertex_count) - 1, 0, 0)]
     best_mask = best_weight = 0
     explored = 1  # the empty set
     while stack:
         best_mask, best_weight, explored = _walk_sets(
-            stack, step, table, shift, best_mask, best_weight, explored
+            stack, table, low, best_mask, best_weight, explored
         )
         if stack and deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout(f"enumeration exceeded its time budget after {explored} sets")

@@ -4,12 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import ast
 import json
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import weakiasi
 from weakiasi import (
     SetLabel,
     check_theorem,
@@ -228,3 +231,21 @@ def test_criterion_10_cli_determinism(tmp_path):
     ]
     assert seeded[0] == seeded[1]
     _passed(10, "byte-identical deterministic JSON across repeated CLI runs")
+
+
+def test_criterion_11_stdlib_only():
+    # pyproject.toml declares no dependencies: every absolute import of the
+    # package names a standard-library module
+    sources = sorted(Path(weakiasi.__file__).parent.glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{source.name}: {name}"
+    _passed(11, "the package imports only the standard library")

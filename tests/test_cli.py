@@ -447,6 +447,27 @@ def test_label_malformed_pattern_exits_2(text, message, tmp_path, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="arrays"),
+        pytest.param('{"a": ' * 100_000 + "1" + "}" * 100_000, id="objects"),
+    ],
+)
+def test_deeply_nested_json_exits_2(text, tmp_path, capsys):
+    graph = write_graph(tmp_path, "k2.txt", "complete", "2")
+    nested = tmp_path / "nested.json"
+    nested.write_text(text)
+    for argv in (
+        ["verify-labeling", "--graph", graph, "--labeling", str(nested)],
+        ["label", "--graph", graph, "--pattern", str(nested)],
+        ["export-dot", "--graph", graph, "--labeling", str(nested)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {nested}: JSON nested too deeply\n"
+
+
 def test_verify_labeling_repeated_vertex_exits_2(tmp_path, capsys):
     graph = tmp_path / "k2.txt"
     graph.write_text("2\n0 1\n")

@@ -173,20 +173,21 @@ def eager_top_table(adj, weights, shift):
     st.integers(0, 12),
     st.lists(st.integers(0, 4095), max_size=8),
 )
-# the whole set read first: all it is built from is filled on one stack
+# the whole set read first: one nested fill builds all it depends on
 @example(path_square(12), [2] * 12, 0, [4095])
 # zero-weight top vertices: ties go to the sets holding the lowest vertex
 @example(Graph(6, ((0, 5), (2, 3))), [0, 1, 0, 0, 2, 0] + [0] * 6, 2, [15, 5])
 def test_lazy_top_table_matches_the_eager_recurrence(g, weights, shift, keys):
     # weights 0-2, so zero-weight vertices and ties occur; the drawn keys are
-    # read first, into a table still empty, then every entry in order
+    # read first, into a table still empty, then every entry in order; the
+    # lazy table is keyed by the unshifted mask of the vertices from shift up
     n = g.vertex_count
     weights, shift = weights[:n], min(shift, n)
     adj = g.adjacency_masks()
     eager = eager_top_table(adj, weights, shift)
-    table = _TopTable(adj, weights, shift)
+    table = _TopTable([None] + [(w, ~a) for w, a in zip(weights, adj)])
     for key in [key % len(eager) for key in keys] + list(range(len(eager))):
-        assert table[key] == eager[key]
+        assert table[key << shift] == eager[key]
     assert len(table) == len(eager)
 
 
@@ -230,6 +231,35 @@ def test_no_call_fills_more_than_the_table_cap(monkeypatch):
     assert max(len(table) for table in tables) == 1 << solver._TOP_BITS
 
 
+@pytest.mark.parametrize(
+    ("g", "deepest"),
+    [
+        # the full 14-vertex table of the edges i-(i + 14), read in walk order
+        pytest.param(Graph(28, tuple((i, i + 14) for i in range(14))), 1, id="i-(i+14)"),
+        pytest.param(edge_corona(complete_graph(5), complete_graph(5))[0], 10, id="K5<>K5"),
+        # one lookup of all 14 vertices, each built from the one without its lowest
+        pytest.param(Graph(14), 14, id="edgeless14"),
+    ],
+)
+def test_a_table_fill_recurses_no_deeper_than_the_top_vertices(monkeypatch, g, deepest):
+    depths = []
+
+    class Counting(_TopTable):
+        depth = 0
+
+        def __missing__(self, key):
+            self.depth += 1
+            depths.append(self.depth)
+            try:
+                return super().__missing__(key)
+            finally:
+                self.depth -= 1
+
+    monkeypatch.setattr(solver, "_TopTable", Counting)
+    sparing_bruteforce(g)
+    assert max(depths) == deepest <= solver._TOP_BITS
+
+
 def test_bruteforce_k4():
     result = sparing_bruteforce(complete_graph(4))
     assert result.value == 3
@@ -249,7 +279,7 @@ def test_bruteforce_k4():
         ("cycle", 3, 4), ("cycle", 4, 7), ("cycle", 11, 199), ("cycle", 20, 15_127),
         # n + 1 on K_n
         ("complete", 1, 2), ("complete", 5, 6), ("complete", 20, 21),
-        # 24 vertices, the top 12 looked up in one table
+        # 24 vertices, 10 walked below a table of the top 14
         ("path", 24, 121_393), ("cycle", 24, 103_682), ("complete", 24, 25),
     ],
 )
@@ -301,11 +331,13 @@ def test_bruteforce_cap():
 
 
 def test_bruteforce_reads_the_clock_every_4096_sets():
-    # the 4,096 sets holding vertex 0 end with a table lookup of the 63
-    # non-empty subsets of the top six vertices, which passes 4,096 at 4,097
-    with pytest.raises(SolverTimeout, match=r"^enumeration exceeded its time budget after 4097 sets$"):
-        sparing_bruteforce(Graph(13), timeout_secs=0.0)
-    # 377 sets end before the first clock read
+    # the empty set, {0}, then a table lookup of the 16,383 non-empty subsets
+    # of the top 14 vertices, which passes 4,096 at 16,385
+    with pytest.raises(SolverTimeout, match=r"^enumeration exceeded its time budget after 16385 sets$"):
+        sparing_bruteforce(Graph(15), timeout_secs=0.0)
+    # at most 14 vertices are one lookup, which ends before the first clock
+    # read: 16,384 sets on Graph(14), 377 on P12
+    assert sparing_bruteforce(Graph(14), timeout_secs=0.0).explored == 16_384
     assert sparing_bruteforce(path_graph(12), timeout_secs=0.0).value == 0
 
 
