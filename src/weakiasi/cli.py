@@ -2,9 +2,9 @@
 verification, and the theorem audit.
 
 Exit codes: 0 success, 2 malformed input, 3 resource limit (a timeout,
-the recursion limit, or an unresolved audit row), 4 internal failure (a
-labeling that fails certification, or any other defect); each failure is
-one ``error:`` line on standard error.
+the recursion limit, running out of memory, or an unresolved audit row), 4
+internal failure (a labeling that fails certification, or any other
+defect); each failure is one ``error:`` line on standard error.
 JSON goes to standard output; human-readable tables go to standard error
 under --verbose.  All output is deterministic except ``elapsed_secs``
 fields.
@@ -128,17 +128,19 @@ def _cmd_corona(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-# each --method: its solver and the unit of the result's ``explored`` count
-_SPARING_METHODS = {"exact": (sparing_exact, "nodes"), "bruteforce": (sparing_bruteforce, "sets")}
+# each --method and the unit of its result's ``explored`` count
+_SPARING_METHODS = {"exact": "nodes", "bruteforce": "sets"}
 
 
 def _cmd_sparing(args: argparse.Namespace) -> int:
-    solve, unit = _SPARING_METHODS[args.method]
+    # the solver is looked up as the command runs: a tracer rebinds its name
+    solve = sparing_exact if args.method == "exact" else sparing_bruteforce
     result = solve(_read_graph(args.graph), args.timeout_secs)
     emit_json(result.to_json_dict())
     if args.verbose:
         print(
-            f"sparing number {result.value} via {result.method}, {result.explored} {unit}",
+            f"sparing number {result.value} via {result.method}, "
+            f"{result.explored} {_SPARING_METHODS[args.method]}",
             file=sys.stderr,
         )
     return EX_OK
@@ -267,6 +269,9 @@ def run_reporting_errors(action: Callable[[], int]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # a SolverTimeout is also an OSError, but it is a limit, not bad input
         return EX_RESOURCE if isinstance(exc, ResourceLimitError) else EX_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EX_RESOURCE
     except Exception as exc:
         # a defect, such as a labeling that fails its own certification
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -333,32 +333,33 @@ class _MaxWeightEngine:
     """Maximum-weight independent set over bitmask states, with its witness.
 
     Takes every simplicial vertex that no neighbour outweighs without
-    branching (``_peel``), splits the rest into connected components (their
-    optima add), bounds each component by a greedy weight-splitting clique
-    cover (``_cover``) and branches include/exclude on its highest-degree
-    vertex, reading the clock at each branching node; ``_solve_max_weight``
-    reads it once before the search, so a spent budget never gets an answer
-    from the peel alone.  ``heavier[v]`` masks the neighbours that outweigh
-    v, an as heavy lower one counting as heavier (the lex-min tie-break).
-    The search is fail-soft (see ``solve``) and keeps one memo: ``memo``
-    maps each connected mask branched to an exact end to its optimum and
-    lexicographically smallest optimal set, stored once after its branching
-    node, so it never holds more entries than ``explored``.  Every
-    searched vertex must have positive weight, which the tie-break relies
-    on.  Raises RecursionError when the search is deeper than the
-    interpreter allows.
+    branching (``_peel``), bounds the rest by a greedy weight-splitting
+    clique cover (``_cover``), splits it into connected components (their
+    optima add) and branches include/exclude on a component's
+    highest-degree vertex, reading the clock at each branching node;
+    ``_solve_max_weight`` reads it once before the search, so a spent budget
+    never gets an answer from the peel alone.  ``adj``, ``weights`` and
+    ``heavier`` are indexed by ``bit.bit_length()``; ``heavier`` masks the
+    neighbours that outweigh a vertex, an as heavy lower one counting as
+    heavier (the lex-min tie-break).  The search is fail-soft (see
+    ``solve``) and keeps one memo: ``memo`` maps each connected mask
+    branched to an exact end to its optimum and lexicographically smallest
+    optimal set, stored once after its branching node, so it never holds
+    more entries than ``explored``.  Every searched vertex must have
+    positive weight, which the tie-break relies on.  Raises RecursionError
+    when the search is deeper than the interpreter allows.
     """
 
     def __init__(self, g: Graph, weights: list[int], deadline: float | None):
-        self.adj = g.adjacency_masks()
-        self.weights = weights
+        self.adj = [0] + g.adjacency_masks()
+        self.weights = [0] + weights
         # on each edge u < v one end outweighs the other: the heavier, u on a tie
-        heavier = [0] * g.vertex_count
+        heavier = [0] * (g.vertex_count + 1)
         for u, v in g.edges:
             if weights[u] >= weights[v]:
-                heavier[v] |= 1 << u
+                heavier[v + 1] |= 1 << u
             else:
-                heavier[u] |= 1 << v
+                heavier[u + 1] |= 1 << v
         self.heavier = heavier
         self.deadline = deadline
         self.memo: dict[int, tuple[int, int]] = {}
@@ -377,58 +378,63 @@ class _MaxWeightEngine:
 
         The forced vertices (see ``_peel``) are taken first; only those of
         ``touched`` can be forced on entry, since a vertex's status changes
-        only when one of its neighbours leaves.  Each loop step then takes
-        the lowest connected component of the rest and its pivot from one
-        component search.
-        Unless the component is memoized, it gets the room ``alpha`` leaves
-        beside the components already solved and the cover of the rest (the
-        cover is additive over components), fails low if its bound fits that
-        room, and else is branched include/exclude on its pivot in this same
-        frame.  Exclude is searched with a cut-off just below an exact
-        include, so a tie comes back exact for the lowest-differing-vertex
-        rule.  So every branching level costs one stack frame.  The lex-min
-        optima of disjoint components unite into the lex-min optimum of
-        their union, so only connected masks are memoized; one that fails
-        low is not, and is walked again if met again.
+        only when one of its neighbours leaves.  Unless what is left is a
+        memoized component, each loop step fails low, before any component
+        search, if its cover fits the room ``alpha`` leaves beside the
+        components already solved (the cover is additive over components).
+        Else one component search takes the lowest component and its pivot;
+        unless memoized, the component is branched include/exclude on its
+        pivot in this same frame, and the rest's cover, which bounds what
+        the rest adds, is the next step's cover (with less room there, one
+        stopped early still does not fit).  Exclude is searched with a
+        cut-off just below an exact include, so a tie comes back exact for
+        the lowest-differing-vertex rule.  So every branching level costs
+        one stack frame.  The lex-min optima of disjoint components unite
+        into the lex-min optimum of their union, so only connected masks are
+        memoized; one that fails low is not, and is searched again if met
+        again.
         """
-        adj = self.adj
+        adj, weights, memo = self.adj, self.weights, self.memo
         avail, total, members = self._peel(avail, touched & avail)
+        cover = None  # of avail, when the step before left it
         while avail:
             component = avail
-            part = self.memo.get(avail)
-            if part is None:
-                component, pivot = self._component(avail)
-                part = self.memo.get(component)
+            part = memo.get(avail)
             if part is None:
                 room = alpha - total
-                rest = 0
                 if room >= 0:
-                    # the cover is additive over components, so the rest's cover
-                    # bounds what it adds; one stopped early leaves no room, and
-                    # a component without room never fails low to use it
-                    rest = self._cover(avail ^ component, room)
+                    if cover is None:
+                        cover = self._cover(avail, room)
+                    if cover <= room:
+                        return total + cover, None
+                component, pivot = self._component(avail)
+                if component != avail:
+                    part = memo.get(component)
+            cover = None
+            if part is None:
+                rest = 0
+                if room >= 0 and component != avail:
+                    # what the rest adds is bounded by its cover; one stopped
+                    # early leaves the component no room
+                    cover = rest = self._cover(avail ^ component, room)
                     room -= rest
-                    if room >= 0:
-                        # a cover stopped early is no bound, only "does not fit"
-                        bound = self._cover(component, room)
-                        if bound <= room:
-                            return total + bound + rest, None
                 self.explored += 1
                 if self.deadline is not None and time.monotonic() > self.deadline:
                     raise SolverTimeout(f"solver exceeded its time budget {self.progress()}")
-                bit = 1 << pivot
-                weight = self.weights[pivot]
-                neighbours = adj[pivot] & component
+                weight = weights[pivot.bit_length()]
+                neighbours = near = adj[pivot.bit_length()] & component
                 ring = 0  # only the neighbours of removed vertices can become forced
-                for u in _mask_to_ids(neighbours):
-                    ring |= adj[u]
-                value, inside = self.solve(component & ~(neighbours | bit), room - weight, ring)
+                while near:
+                    bit = near & -near
+                    near ^= bit
+                    ring |= adj[bit.bit_length()]
+                value, inside = self.solve(component & ~(neighbours | pivot), room - weight, ring)
                 if inside is None:
                     include = (weight + value, None)
-                    exclude = self.solve(component ^ bit, room, neighbours)
+                    exclude = self.solve(component ^ pivot, room, neighbours)
                 else:
-                    include = (weight + value, inside | bit)
-                    exclude = self.solve(component ^ bit, max(room, include[0] - 1), neighbours)
+                    include = (weight + value, inside | pivot)
+                    exclude = self.solve(component ^ pivot, max(room, include[0] - 1), neighbours)
                 if include[0] != exclude[0]:
                     part = max(include, exclude)
                 elif include[1] is None or exclude[1] is None:
@@ -440,7 +446,7 @@ class _MaxWeightEngine:
                     part = include if include[1] & differ & -differ else exclude
                 if part[1] is None:
                     return total + part[0] + rest, None
-                self.memo[component] = part
+                memo[component] = part
             total += part[0]
             members |= part[1]
             avail ^= component
@@ -466,13 +472,13 @@ class _MaxWeightEngine:
         while touched:
             bit = touched & -touched
             touched ^= bit
-            v = bit.bit_length() - 1
+            v = bit.bit_length()
             near = left = adj[v] & avail
             if near & heavier[v]:
                 continue
             while left:
                 u_bit = left & -left
-                if near & ~adj[u_bit.bit_length() - 1] != u_bit:
+                if near & ~adj[u_bit.bit_length()] != u_bit:
                     break  # u misses another neighbour: not a clique
                 left ^= u_bit
             if left:
@@ -483,7 +489,7 @@ class _MaxWeightEngine:
             while near:
                 u_bit = near & -near
                 near ^= u_bit
-                touched |= adj[u_bit.bit_length() - 1]
+                touched |= adj[u_bit.bit_length()]
             touched &= avail
         return avail, total, members
 
@@ -497,23 +503,23 @@ class _MaxWeightEngine:
         leaves the mask, a heavier one stays with what is left.  Each
         vertex is paid in full by its cliques, and an independent set meets
         a clique at most once.  With unit weights every member leaves.
-        Stops early once the sum exceeds ``limit``; that partial sum tells
-        only that the cover does not fit.
+        A clique never leaves v's component, so the cover of a mask is the
+        sum of its components' covers.  Stops early once the sum exceeds
+        ``limit``; that partial sum tells only that the cover does not fit.
         """
-        adj, weights = self.adj, self.weights
-        residual: dict[int, int] = {}  # only the vertices cut down so far
+        adj = self.adj
+        residual = self.weights.copy()
         total = 0
         while mask:
             bit = mask & -mask
             mask ^= bit
-            v = bit.bit_length() - 1
-            share = residual.get(v, weights[v])
-            common = adj[v] & mask
+            share = residual[bit.bit_length()]
+            common = adj[bit.bit_length()] & mask
             while common:
                 bit = common & -common
-                u = bit.bit_length() - 1
+                u = bit.bit_length()
                 common &= adj[u]
-                left = residual.get(u, weights[u]) - share
+                left = residual[u] - share
                 if left > 0:
                     residual[u] = left
                 else:
@@ -524,7 +530,7 @@ class _MaxWeightEngine:
         return total
 
     def _component(self, avail: int) -> tuple[int, int]:
-        """(component, pivot) for the lowest available vertex.
+        """(component, pivot bit) for the lowest available vertex.
 
         Each BFS layer expands only the vertices it newly reached, so one
         call costs O(size of the component) mask operations.  The same pass
@@ -535,18 +541,17 @@ class _MaxWeightEngine:
         """
         adj = self.adj
         component = frontier = avail & -avail
-        pivot, pivot_degree = -1, -1
+        pivot, pivot_degree = 0, -1
         while frontier:
             reach = 0
             while frontier:
                 bit = frontier & -frontier
                 frontier ^= bit
-                v = bit.bit_length() - 1
-                neighbours = adj[v]
+                neighbours = adj[bit.bit_length()]
                 reach |= neighbours
                 d = (neighbours & avail).bit_count()
-                if d > pivot_degree or (d == pivot_degree and v < pivot):
-                    pivot, pivot_degree = v, d
+                if d > pivot_degree or (d == pivot_degree and bit < pivot):
+                    pivot, pivot_degree = bit, d
             frontier = reach & avail & ~component
             component |= frontier
         return component, pivot

@@ -537,12 +537,43 @@ def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatc
     def broken(*_args, **_kwargs):
         raise RuntimeError("solver defect")
 
-    # the method table holds the solver it calls
-    monkeypatch.setitem(cli._SPARING_METHODS, "exact", (broken, "nodes"))
+    monkeypatch.setattr(cli, "sparing_exact", broken)
     code, out, err = run(capsys, "sparing", "--graph", graph)
     assert code == 4
     assert out == ""
     assert err == "error: RuntimeError: solver defect\n"
+
+
+@pytest.mark.parametrize("method", ["exact", "bruteforce"])
+def test_sparing_calls_the_solver_bound_when_it_runs(tmp_path, capsys, monkeypatch, method):
+    # a tracer wraps a solver by rebinding its name in this module after import
+    graph = write_graph(tmp_path, "c5.txt", "cycle", "5")
+    called = []
+    for name in ("sparing_exact", "sparing_bruteforce"):
+        def recording(g, secs, _name=name, _solve=getattr(cli, name)):
+            called.append(_name)
+            return _solve(g, secs)
+
+        monkeypatch.setattr(cli, name, recording)
+    code, out, _ = run(capsys, "sparing", "--graph", graph, "--method", method)
+    assert code == 0
+    assert json.loads(out)["value"] == 1
+    assert called == [f"sparing_{method}"]
+
+
+@pytest.mark.parametrize("method", ["exact", "bruteforce"])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, method):
+    # the 12-byte edge list "99999999999" names a vertex count whose lists no
+    # memory holds; the reader is stubbed instead of made to allocate them
+    graph = tmp_path / "huge.txt"
+    graph.write_text("99999999999\n")
+
+    def exhausted(_text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_edge_list", exhausted)
+    code, out, err = run(capsys, "sparing", "--graph", str(graph), "--method", method)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
 def test_directory_as_out_exits_2(tmp_path, capsys):

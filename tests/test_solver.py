@@ -13,6 +13,7 @@ from weakiasi import (
     THEOREM_IDS,
     check_theorem,
     cli,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     edge_corona,
@@ -723,10 +724,10 @@ def test_component_matches_rescanning_reference(g, mask):
     engine = _MaxWeightEngine(g, g.degrees(), None)
     component, pivot = engine._component(avail)
     assert component == rescanning_component(adj, avail)
-    # naive pivot: most neighbours in avail, smallest id on ties
+    # naive pivot: most neighbours in avail, smallest id on ties, as a bit
     members = [v for v in range(g.vertex_count) if component >> v & 1]
     naive = min(members, key=lambda v: (-(adj[v] & avail).bit_count(), v))
-    assert pivot == naive
+    assert pivot == 1 << naive
 
 
 class CountingDict(dict):
@@ -742,10 +743,10 @@ class CountingDict(dict):
 @pytest.mark.parametrize(
     ("g", "explored", "rewalks"),
     # the triangles are all peeled and walk nothing; each 5-cycle branches
-    # once; on gnp60, 21 walks (18 distinct masks) repeat a mask that
-    # failed low at another cut-off
+    # once; on gnp60 a mask met again at another cut-off fails low on its
+    # cover before any component search, so none is walked twice
     [
-        (gnp_random_graph(60, 0.15, 1), 696, 21),
+        (gnp_random_graph(60, 0.15, 1), 696, 0),
         (disjoint_triangles(304), 0, 0),
         (disjoint_cycles(300, 5), 300, 0),
     ],
@@ -754,7 +755,7 @@ class CountingDict(dict):
 def test_no_component_is_walked_twice(g, explored, rewalks, monkeypatch):
     # each component is branched where the search finds it, never handed
     # to a nested search that would walk it again; only a mask that failed
-    # low, and so was stored nowhere, is walked again when met again
+    # low, and so was stored nowhere, could be walked again when met again
     returned = set()
     walked_again = []
     memoized_when_walked = []
@@ -789,14 +790,18 @@ def test_no_component_is_walked_twice(g, explored, rewalks, monkeypatch):
         (disjoint_triangles(304), 304, 0),
         (gnp_random_graph(60, 0.15, 1), 112, 696),
         (gnp_random_graph(80, 0.15, 1), 247, 2909),
+        (edge_corona(cycle_graph(30), complete_graph(9))[0], 1350, 82),
+        (edge_corona(complete_bipartite_graph(3, 3), complete_bipartite_graph(3, 3))[0], 63, 35),
+        (edge_corona(cycle_graph(11), cycle_graph(5))[0], 88, 36),
     ],
-    ids=["path334", "cycle223", "triangles304", "gnp60", "gnp80"],
+    ids=["path334", "cycle223", "triangles304", "gnp60", "gnp80", "C30xK9", "K33xK33", "C11xC5"],
 )
 def test_explored_node_counts_are_pinned(g, value, explored):
     # one node per branched connected component, found in a single search
     # pass that carries each component's lex-min optimal set; simplicial
     # vertices are taken without a node, so a cycle branches once and
-    # both paths left are peeled, and a triangle is peeled whole
+    # both paths left are peeled, and a triangle is peeled whole; the
+    # coronas (300, 60 and 66 vertices) lean on the memo, not the bound
     result = sparing_exact(g, timeout_secs=None)
     assert (result.value, result.explored) == (value, explored)
 
@@ -861,6 +866,23 @@ def test_cover_bounds_the_optimum(g, mask, unit_weights):
         partial = engine._cover(mask, limit)
         assert (partial <= limit) == (cover <= limit)
         assert partial == cover or partial > limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_vertices=14), st.integers(min_value=1, max_value=(1 << 14) - 1), st.booleans())
+def test_cover_is_additive_over_components(g, mask, unit_weights):
+    # the search tests the whole mask's cover where it once tested a
+    # component's cover against the room its rest's cover left
+    mask &= (1 << g.vertex_count) - 1
+    if not mask:
+        return
+    engine = _MaxWeightEngine(g, engine_weights(g, unit_weights), None)
+    component = rescanning_component(g.adjacency_masks(), mask)
+    cover = engine._cover(mask)
+    parts = engine._cover(component) + engine._cover(mask ^ component)
+    assert cover == parts
+    for limit in range(-1, cover + 2):
+        assert (engine._cover(mask, limit) <= limit) == (parts <= limit)
 
 
 def disjoint_greedy_cover(adj, mask):
